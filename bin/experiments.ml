@@ -141,13 +141,17 @@ let claim_c1 () =
         s.Modelcheck.Explorer.wirings_checked s.Modelcheck.Explorer.total_states
         s.Modelcheck.Explorer.total_transitions s.Modelcheck.Explorer.terminal_states
         s.Modelcheck.Explorer.all_wait_free
-  | Error e -> Printf.printf "n=2 FAILED: %s\n" e);
+  | Error e ->
+      Printf.printf "n=2 FAILED: %s\n"
+        (Modelcheck.Explorer.sweep_error_message e));
   (* group inputs at n=2: both processors in one group *)
   (match Core.verify_snapshot_model ~n:2 ~inputs:(Some [| 1; 1 |]) () with
   | Ok s ->
       Printf.printf "n=2 (one group, inputs 1,1): VERIFIED; %d states\n"
         s.Modelcheck.Explorer.total_states
-  | Error e -> Printf.printf "n=2 groups FAILED: %s\n" e);
+  | Error e ->
+      Printf.printf "n=2 groups FAILED: %s\n"
+        (Modelcheck.Explorer.sweep_error_message e));
   (* n=3 uses the bit-packed specialized checker (Modelcheck.Snapshot3):
      a single wiring's space is ~10^8 states.  First cross-validate its
      packed semantics against the reference implementation. *)
@@ -541,7 +545,8 @@ let x5 () =
               s.Core.Snapshot_fault_mc.total_crash_branches
         | Error e ->
             Printf.printf "  model check under <=%d crash(es) FAILED: %s\n"
-              max_crashes e)
+              max_crashes
+              (Modelcheck.Explorer.sweep_error_message e))
     [ 1; 2 ]
 
 let () =

@@ -22,7 +22,7 @@ let () =
       Printf.printf "   %d states, %d transitions, %d terminal states\n\n"
         s.Modelcheck.Explorer.total_states s.Modelcheck.Explorer.total_transitions
         s.Modelcheck.Explorer.terminal_states
-  | Error e -> failwith e);
+  | Error e -> failwith (Modelcheck.Explorer.sweep_error_message e));
 
   print_endline "2. Wait-freedom as acyclicity: the write-scan loop diverges";
   let cfg = Algorithms.Write_scan.cfg ~n:2 ~m:2 in

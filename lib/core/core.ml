@@ -179,8 +179,6 @@ let figure2_table ?actions () =
 let lower_bound_demo ~n () = Analysis.Lower_bound.run ~n ()
 
 module Snapshot_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot)
-module Snapshot_par_mc =
-  Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Snapshot)
 module Snapshot_ws_mc = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Snapshot)
 
 (** The strong snapshot invariant checked during model checking: every
@@ -215,42 +213,25 @@ let snapshot_invariant cfg inputs (st : Snapshot_mc.state) =
 
     [~reduction:true] quotients each per-wiring space by its anonymity
     symmetries (a gain exactly when [inputs] has repeated values — with
-    all-distinct inputs the symmetry group is trivial); [~domains > 1]
-    switches to the parallel engine ({!Modelcheck.Par_explorer}) with that
-    many worker domains.  Both engines return the same summary type and
-    agree on every verdict (asserted by the differential suite). *)
-let snapshot_prune_oracle cfg inputs (st : Snapshot_mc.state) =
-  Modelcheck.Inductive.violates_state ~cfg ~inputs
-    Modelcheck.Inductive.proved ~locals:st.Snapshot_mc.locals
-    ~registers:st.Snapshot_mc.registers
-
+    all-distinct inputs the symmetry group is trivial).  [~domains > 1]
+    switches from the sequential DFS sweep to the work-stealing parallel
+    engine ({!Modelcheck.Ws_explorer}) with that many worker domains; it
+    honours [governor] but takes no checkpoint (there is no consistent
+    cut without stopping the pool), so [ckpt] / [resume] apply to the
+    sequential engine only.  Both engines return the same summary type
+    and agree on every verdict and count (asserted by the differential
+    suite). *)
 let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?(domains = 1) ?(ws = false)
-    ?(prune_with_invariant = false) ?governor ?ckpt ?(resume = false) () =
+    ?(reduction = false) ?(domains = 1) ?governor ?ckpt ?(resume = false) () =
   let inputs = match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let prune =
-    if prune_with_invariant then Some (snapshot_prune_oracle cfg inputs)
-    else None
-  in
-  if domains > 1 && ws then
-    (* Work-stealing engine: governed but not checkpointable (no
-       consistent cut without stopping the pool) and unpruned. *)
+  let invariant = snapshot_invariant cfg inputs in
+  if domains > 1 then
     Snapshot_ws_mc.check_all_wirings ?max_states ~reduction ?governor ~domains
-      ~invariant:(snapshot_invariant cfg inputs)
-      ~cfg ~inputs ()
-  else if domains > 1 then
-    (* The layer-synchronous engine shares no checkpointable sweep
-       position; run it unbudgeted and unpruned (callers wanting
-       durability or pruning use domains = 1). *)
-    Snapshot_par_mc.check_all_wirings ?max_states ~reduction ~domains
-      ~invariant:(snapshot_invariant cfg inputs)
-      ~cfg ~inputs ()
+      ~invariant ~cfg ~inputs ()
   else
-    Snapshot_mc.check_all_wirings ?max_states ~reduction ?prune ?governor
-      ?ckpt ~resume
-      ~invariant:(snapshot_invariant cfg inputs)
-      ~cfg ~inputs ()
+    Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt
+      ~resume ~invariant ~cfg ~inputs ()
 
 (** RAM-bounded, safety-only variant of {!verify_snapshot_model}: the
     hash-compacted fingerprint engine
@@ -262,18 +243,14 @@ let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
     the exact engines for liveness.  Supports the full
     governor/checkpoint/resume contract of the sequential engine. *)
 let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?(prune_with_invariant = false) ?ram_budget_bytes
-    ?batch_states ?spill_dir ?governor ?ckpt ?(resume = false) () =
+    ?(reduction = false) ?ram_budget_bytes ?batch_states ?spill_dir ?governor
+    ?ckpt ?(resume = false) () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let prune =
-    if prune_with_invariant then Some (snapshot_prune_oracle cfg inputs)
-    else None
-  in
-  Snapshot_mc.check_all_wirings_fp ?max_states ~reduction ?prune
-    ?ram_budget_bytes ?batch_states ?spill_dir ?governor ?ckpt ~resume
+  Snapshot_mc.check_all_wirings_fp ?max_states ~reduction ?ram_budget_bytes
+    ?batch_states ?spill_dir ?governor ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -293,18 +270,13 @@ module Snapshot_fault_mc =
     territory (a crash-stopped processor is exactly one that is never
     scheduled again). *)
 let verify_snapshot_model_crashes ?(n = 2) ?(inputs = None) ?(max_crashes = 1)
-    ?max_states ?(reduction = false) ?(prune_with_invariant = false) ?governor
-    () =
+    ?max_states ?(reduction = false) ?governor () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let prune =
-    if prune_with_invariant then Some (snapshot_prune_oracle cfg inputs)
-    else None
-  in
   Snapshot_fault_mc.check_all_wirings ?max_states ~max_crashes ~reduction
-    ?prune ?governor
+    ?governor
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -379,15 +351,10 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
     verdicts feed {!Analysis.Feasibility}. *)
 
 module Rt_mutex_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Rt_mutex)
-module Rt_mutex_par_mc =
-  Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Rt_mutex)
 module Rt_mutex_fault_mc =
   Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Rt_mutex)
 module Weak_leader_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Weak_leader)
-module Weak_leader_par_mc =
-  Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Weak_leader)
 module Naming_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Naming)
-module Naming_par_mc = Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Naming)
 module Naming_fault_mc =
   Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Naming)
 

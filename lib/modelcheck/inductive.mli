@@ -120,9 +120,9 @@ val violates_state :
   locals:Algorithms.Snapshot.local array ->
   registers:Algorithms.Snapshot.value array ->
   bool
-(** The pruning oracle: [true] iff some clause fails.  Only sound as a
-    [~prune] argument when the clause list has been {e proved} for this
-    [n] — states violating a proved invariant are unreachable. *)
+(** [true] iff some clause fails.  For a clause list {e proved} for this
+    [n], no reachable state violates it (reachable ⊆ Inv); the test suite
+    asserts this on explored spaces as an ordinary invariant. *)
 
 (** {1 Abstract configurations and CTIs} *)
 

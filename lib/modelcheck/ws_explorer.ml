@@ -1,10 +1,9 @@
 (** Work-stealing parallel exploration on a pool of OCaml 5 domains —
-    the successor to {!Par_explorer}'s layer-synchronous BFS.
+    the repository's one parallel model-checking engine.
 
-    The layer-synchronous design pays two full barriers per BFS layer,
-    and every domain idles for the slowest one at each; BENCH_mc.json
-    shows it losing to the sequential engine outright.  This engine
-    removes the barriers entirely:
+    A layer-synchronous design pays two full barriers per BFS layer, and
+    every domain idles for the slowest one at each.  This engine has no
+    barriers at all:
 
     - Every domain owns a {!Deque} (a Chase–Lev-style work-stealing
       deque): it pushes and pops frontier work at the bottom without
@@ -14,13 +13,14 @@
       never reads another shard's table (whose arena may be growing
       under its owner's hands).
 
-    - State {e ownership} still follows {!Par_explorer}: the canonical
-      key hashes to the owning domain, and only the owner interns keys,
-      assigns ids, records incoming edges, checks the invariant, and
-      mutates its shard — so the per-shard structures remain lock-free
-      by construction.  An expander (owner or thief) sends each
-      candidate successor to its owner's inbox (the Treiber-stack
-      channel reused from {!Par_explorer.Chan}).
+    - State {e ownership} is sharded: the canonical key hashes to the
+      owning domain ([Hashtbl.hash key mod domains]), and only the owner
+      interns keys, assigns ids, records incoming edges, checks the
+      invariant, and mutates its shard — so the per-shard structures
+      remain lock-free by construction.  An expander (owner or thief)
+      sends each candidate successor to its owner's inbox, a lock-free
+      {!Chan}.  Keys are canonicalized ({!Canon}) before hashing, so
+      ownership respects symmetry orbits under [~reduction].
 
     - Termination is detected by a global in-flight counter: [pending]
       counts undelivered messages plus unexpanded frontier items, and
@@ -35,12 +35,32 @@
     shortest (each parent link is still a real step); state, transition
     and terminal counts remain exactly the sequential BFS's, which the
     differential matrix asserts.  Wait-freedom is decided post-join by
-    the same dense-CSR Tarjan pass as {!Par_explorer}.  The engine has
+    the shared {!Scc} pass over a dense CSR image of the shards' edges,
+    as in {!Explorer}.  The engine has
     no checkpoint support (there is no consistent cut to snapshot
     without stopping the pool); pair it with a governor for bounded
     runs, or use the sequential/fingerprint engines for durability. *)
 
 open Repro_util
+
+(* Lock-free channel of message batches: any domain pushes (Treiber
+   stack of batches), the owner drains wholesale with [Atomic.exchange]. *)
+module Chan = struct
+  type 'a t = 'a list list Atomic.t
+
+  let make () : 'a t = Atomic.make []
+
+  let push t batch =
+    if batch <> [] then begin
+      let rec go () =
+        let cur = Atomic.get t in
+        if not (Atomic.compare_and_set t cur (batch :: cur)) then go ()
+      in
+      go ()
+    end
+
+  let drain t = Atomic.exchange t []
+end
 
 (** A Chase–Lev-style work-stealing deque.  The owner pushes and pops at
     the bottom; thieves steal at the top with a CAS.  The buffer grows
@@ -160,12 +180,16 @@ module Make (P : Explorer.CHECKABLE) = struct
     | Hit_violation
     | Hit_exhausted of Governor.reason
 
-  (** [explore ~domains ...] — same optional knobs and semantics as
-      {!Par_explorer.Make.explore}, plus [?governor] (ticked once per
+  (** [explore ~domains ...] — the parallel counterpart of
+      {!Explorer.Make.explore}: same semantics for [invariant] /
+      [stop_expansion] / [reduction], plus [?governor] (ticked once per
       interned state, under a small mutex: {!Governor} is not
-      thread-safe).  [domains = 1] degrades to a deque-driven sequential
-      BFS with zero steals. *)
-  let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion
+      thread-safe).  [domains] is the pool size (>= 1); the calling
+      domain doubles as worker 0, and [domains = 1] degrades to a
+      deque-driven sequential BFS with zero steals. *)
+  let default_max_states = 50_000_000
+
+  let explore ?(max_states = default_max_states) ?invariant ?stop_expansion
       ?(reduction = false) ?governor ~domains ~cfg ~wiring ~inputs () =
     Explorer.guard_processors ~engine:"Ws_explorer.explore" (P.processors cfg);
     if domains < 1 then invalid_arg "Ws_explorer.explore: domains < 1";
@@ -190,7 +214,7 @@ module Make (P : Explorer.CHECKABLE) = struct
     in
     let deques = Array.init nd (fun _ -> Deque.create ()) in
     (* inbox.(dst): MPSC — any expander pushes batches, only dst drains *)
-    let inbox = Array.init nd (fun _ -> Par_explorer.Chan.make ()) in
+    let inbox = Array.init nd (fun _ -> Chan.make ()) in
     let pending = Atomic.make 0 in
     let total_states = Atomic.make 0 in
     let steals = Atomic.make 0 in
@@ -259,7 +283,7 @@ module Make (P : Explorer.CHECKABLE) = struct
             end
       in
       let drain_inbox () =
-        match Par_explorer.Chan.drain inbox.(w) with
+        match Chan.drain inbox.(w) with
         | [] -> ()
         | batches ->
             List.iter (fun batch -> List.iter deliver (List.rev batch))
@@ -290,7 +314,7 @@ module Make (P : Explorer.CHECKABLE) = struct
                  en;
                for dst = 0 to nd - 1 do
                  if dst = w then List.iter deliver (List.rev batches.(dst))
-                 else Par_explorer.Chan.push inbox.(dst) batches.(dst)
+                 else Chan.push inbox.(dst) batches.(dst)
                done);
         Atomic.decr pending
       in
@@ -314,7 +338,7 @@ module Make (P : Explorer.CHECKABLE) = struct
          let o = owner init_key in
          if o = w then ignore (create init_key ~from:(-1))
          else begin
-           Par_explorer.Chan.push inbox.(o) [ (init_key, -1) ];
+           Chan.push inbox.(o) [ (init_key, -1) ];
            (* correct the double-count: create would transmute the unit,
               but the message path pre-charges its own *)
            ()
@@ -378,8 +402,8 @@ module Make (P : Explorer.CHECKABLE) = struct
     | Hit_exhausted reason -> Ws_exhausted { reason; states }
     | Hit_limit -> Ws_state_limit states
     | Running | All_done ->
-        (* Densify gids and run the shared SCC pass, exactly as the
-           layer-synchronous engine does. *)
+        (* Densify gids (shards have unequal sizes, so the interleaved
+           gids are not contiguous) and run the shared SCC pass. *)
         let offset = Array.make (nd + 1) 0 in
         for s = 0 to nd - 1 do
           offset.(s + 1) <- offset.(s) + State_table.length shards.(s).table
@@ -426,12 +450,12 @@ module Make (P : Explorer.CHECKABLE) = struct
         Ws_ok { stats; wait_free = divergent = []; divergent }
 
   (** Work-stealing counterpart of {!Explorer.Make.check_all_wirings}:
-      same summary type and error strings as the other engines, plus the
-      governor's [exhausted] error shape (the engine itself carries no
-      checkpoint, so exhaustion is terminal for the sweep). *)
-  let check_all_wirings ?max_states ?invariant ?(require_wait_free = true)
-      ?on_wiring ?wirings ?(reduction = false) ?governor ~domains ~cfg ~inputs
-      () =
+      same summary and {!Explorer.sweep_error} as the other engines (the
+      engine itself carries no checkpoint, so exhaustion is terminal for
+      the sweep). *)
+  let check_all_wirings ?(max_states = default_max_states) ?invariant
+      ?(require_wait_free = true) ?on_wiring ?wirings ?(reduction = false)
+      ?governor ~domains ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
     let wirings =
       match wirings with
@@ -442,27 +466,20 @@ module Make (P : Explorer.CHECKABLE) = struct
       | [] -> Ok summary
       | wiring :: rest -> (
           match
-            explore ?max_states ?invariant ~reduction ?governor ~domains ~cfg
+            explore ~max_states ?invariant ~reduction ?governor ~domains ~cfg
               ~wiring ~inputs ()
           with
           | Ws_exhausted { reason; states } ->
+              Error (Explorer.exhausted_error ~wiring ~reason ~states)
+          | Ws_state_limit k ->
               Error
-                (Fmt.str "exhausted (%a) at %d states" Governor.pp_reason
-                   reason states)
-          | Ws_state_limit k -> Error (Fmt.str "state limit hit at %d states" k)
+                (Explorer.state_limit_error ~engine:"Ws_explorer.explore"
+                   ~wiring ~limit:max_states ~states:k)
           | Ws_invariant_failed { message; _ } ->
-              Error
-                (Fmt.str "invariant violated under wiring %a: %s"
-                   Anonmem.Wiring.pp wiring message)
+              Error (Explorer.invariant_error ~wiring message)
           | Ws_ok { stats; wait_free; divergent } ->
               if require_wait_free && not wait_free then
-                Error
-                  (Fmt.str
-                     "wait-freedom violated under wiring %a: processors %a \
-                      diverge"
-                     Anonmem.Wiring.pp wiring
-                     Fmt.(list ~sep:comma int)
-                     divergent)
+                Error (Explorer.wait_freedom_error ~wiring divergent)
               else begin
                 let summary =
                   {
@@ -472,7 +489,6 @@ module Make (P : Explorer.CHECKABLE) = struct
                     total_transitions =
                       summary.total_transitions + stats.transitions;
                     terminal_states = summary.terminal_states + stats.terminals;
-                    total_pruned = summary.total_pruned;
                     all_wait_free = summary.all_wait_free && wait_free;
                   }
                 in

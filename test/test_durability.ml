@@ -582,7 +582,7 @@ let test_fp_sweep_resume_parity () =
   let reference =
     match Core.verify_snapshot_model_fp ~n:2 ~ram_budget_bytes:1024 () with
     | Ok s -> s
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
   in
   let path = fresh_path ".ckpt" in
   let ckpt = { Ckpt.path; every_states = 25 } in
@@ -593,10 +593,8 @@ let test_fp_sweep_resume_parity () =
             ~ckpt ~resume:true ()
         with
         | Ok s -> Ok s
-        | Error e ->
-            if String.length e >= 9 && String.sub e 0 9 = "exhausted" then
-              Error ()
-            else Alcotest.fail e)
+        | Error (Modelcheck.Explorer.Budget_exhausted _) -> Error ()
+        | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e))
   in
   let module X = Modelcheck.Explorer in
   Alcotest.(check bool) "fp sweep was actually interrupted" true (rounds > 0);

@@ -23,10 +23,10 @@ expect() {
 
 # clean passes
 expect 0 check-snapshot -n 2
+expect 0 check-snapshot -n 2 --par 2
 expect 0 feasibility --quick
 expect 0 inductive --check -n 2
 expect 0 inductive --check -n 2 --concrete
-expect 0 inductive --prune -n 2
 
 # refuted invariant: the comparability strengthenings fail induction
 expect 2 inductive --check -n 2 --clauses candidates
@@ -34,6 +34,9 @@ expect 2 inductive --check -n 2 --clauses candidates
 # exhausted budget (exit 3): a tiny wall-clock allowance on a big run
 expect 3 inductive --check -n 3 --max-seconds 0.01
 expect 3 check-snapshot -n 3 --max-seconds 0.01
+
+# resource limit (exit 3): the state cap is a limit, not a violation
+expect 3 check-snapshot -n 2 --max-states 10
 
 # interrupted (exit 4): SIGINT mid-run; the n=3 induction takes seconds
 "$ANONSIM" inductive --check -n 3 >/dev/null 2>&1 &

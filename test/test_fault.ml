@@ -405,7 +405,7 @@ let test_snapshot_safe_under_one_crash () =
      crash-stop, over all wirings and all (time-abstract) crash points —
      this subsumes every timed crash-stop plan the fuzzer can draw. *)
   match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes:1 () with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
   | Ok s ->
       Alcotest.(check int) "both wirings" 2
         s.Core.Snapshot_fault_mc.wirings_checked;
@@ -417,7 +417,7 @@ let test_snapshot_safe_under_crash_same_group () =
     Core.verify_snapshot_model_crashes ~n:2 ~inputs:(Some [| 1; 1 |])
       ~max_crashes:1 ()
   with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
   | Ok _ -> ()
 
 let test_crash_search_catches_planted_bug () =

@@ -150,14 +150,14 @@ let test_verify_snapshot_n2_all_wirings () =
         s.Modelcheck.Explorer.all_wait_free;
       Alcotest.(check bool) "nontrivial spaces" true
         (s.Modelcheck.Explorer.total_states > 100)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
 
 let test_verify_snapshot_n2_groups () =
   match Core.verify_snapshot_model ~n:2 ~inputs:(Some [| 1; 1 |]) () with
   | Ok s ->
       Alcotest.(check bool) "single group verified" true
         s.Modelcheck.Explorer.all_wait_free
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
 
 let test_bfs_and_dfs_agree_on_counts () =
   let cfg = Snap.standard ~n:2 in

@@ -1,6 +1,5 @@
-(* Differential tests of the four exploration engines — sequential BFS
-   (Explorer.explore), sequential DFS (Explorer.check_exhaustive), the
-   sharded layer-synchronous parallel BFS (Par_explorer.explore) and the
+(* Differential tests of the three exploration engines — sequential BFS
+   (Explorer.explore), sequential DFS (Explorer.check_exhaustive) and the
    work-stealing parallel BFS (Ws_explorer.explore) — with and without
    symmetry reduction, plus QCheck soundness properties of the Canon
    orbit-minimum canonicalization itself, a model-based QCheck test of
@@ -16,7 +15,8 @@
    exact visited-state / transition / terminal counts; reduced runs agree
    with each other exactly and with unreduced runs on verdicts; and every
    counterexample trace replays through Witness.Replay to a state that
-   actually violates the invariant.
+   actually violates the invariant.  The fingerprint engine's columns
+   live in test_fingerprint.ml.
 
    Tiny configurations (< 5 s total) run under the @mc-smoke alias inside
    `dune runtest`; the full 3-processor parity matrix and the unbounded
@@ -33,7 +33,6 @@ let qcheck_count = if long_mode then 500 else 120
 
 module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
   module E = Modelcheck.Explorer.Make (P)
-  module Par = Modelcheck.Par_explorer.Make (P)
   module Ws = Modelcheck.Ws_explorer.Make (P)
   module Replay = Modelcheck.Witness.Replay (P)
 
@@ -59,23 +58,6 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
           v.E.message
     | E.State_limit k -> Alcotest.failf "sequential BFS: state limit %d" k
     | E.Exhausted _ -> Alcotest.fail "sequential BFS: unexpected exhaustion"
-
-  let par_bfs ?invariant ?stop_expansion ?(reduction = false) ~domains ~cfg
-      ~wiring ~inputs () =
-    match
-      Par.explore ?invariant ?stop_expansion ~reduction ~domains ~cfg ~wiring
-        ~inputs ()
-    with
-    | Par.Par_ok { stats; divergent; _ } ->
-        {
-          states = stats.Par.states;
-          transitions = stats.Par.transitions;
-          terminals = stats.Par.terminals;
-          divergent;
-        }
-    | Par.Par_invariant_failed { message; _ } ->
-        Alcotest.failf "parallel BFS: unexpected invariant failure: %s" message
-    | Par.Par_state_limit k -> Alcotest.failf "parallel BFS: state limit %d" k
 
   let ws_bfs ?invariant ?stop_expansion ?(reduction = false) ~domains ~cfg
       ~wiring ~inputs () =
@@ -106,10 +88,10 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
     end;
     Alcotest.(check (list int)) (name ^ ": divergent set") a.divergent b.divergent
 
-  (* Full matrix on one (wiring, inputs) cell: sequential vs parallel at
-     each domain count, unreduced (exact count parity) and reduced (exact
-     parity between reduced runs, verdict parity against unreduced);
-     plus DFS verdict agreement on acyclic spaces. *)
+  (* Full matrix on one (wiring, inputs) cell: sequential vs work-stealing
+     at each domain count, unreduced (exact count parity) and reduced
+     (exact parity between reduced runs, verdict parity against
+     unreduced); plus DFS verdict agreement on acyclic spaces. *)
   let cell ?invariant ?stop_expansion ?(domain_counts = [ 1; 2; 4 ]) ~name ~cfg
       ~wiring ~inputs () =
     let seq = seq_bfs ?invariant ?stop_expansion ~cfg ~wiring ~inputs () in
@@ -126,17 +108,8 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
     List.iter
       (fun domains ->
         let nm = Printf.sprintf "%s par%d" name domains in
-        let par =
-          par_bfs ?invariant ?stop_expansion ~domains ~cfg ~wiring ~inputs ()
-        in
-        check_verdicts nm seq par ~exact_counts:true;
-        let parr =
-          par_bfs ?invariant ?stop_expansion ~reduction:true ~domains ~cfg
-            ~wiring ~inputs ()
-        in
-        check_verdicts (nm ^ " reduced") red parr ~exact_counts:true;
-        (* Work-stealing columns: exact count parity too — state
-           ownership and edge recording are independent of steal order. *)
+        (* Exact count parity — state ownership and edge recording are
+           independent of steal order. *)
         let ws =
           ws_bfs ?invariant ?stop_expansion ~domains ~cfg ~wiring ~inputs ()
         in
@@ -148,7 +121,7 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
         check_verdicts (nm ^ " ws reduced") red wsr ~exact_counts:true)
       domain_counts;
     (* DFS engine: verdict-level agreement (cycle <-> nonempty divergent
-       set; states/transitions equal on every run without pruning). *)
+       set; states/transitions equal on every unbounded run). *)
     match
       E.check_exhaustive ?invariant ?stop_expansion ~cfg ~wiring ~inputs ()
     with
@@ -173,9 +146,8 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
     | E.Dfs_exhausted _ -> Alcotest.failf "%s: DFS unexpected exhaustion" name
 
   (* Counterexample parity on a violating configuration: all engines must
-     report the violation, BFS traces must have equal (minimal) length,
-     and every trace must replay through Witness.Replay to a state the
-     invariant rejects. *)
+     report the violation, and every trace must replay through
+     Witness.Replay to a state the invariant rejects. *)
   let violation_cell ?(domain_counts = [ 1; 2; 4 ]) ?(reduction = false) ~name
       ~cfg ~wiring ~inputs ~invariant () =
     let replay_and_check nm path =
@@ -185,13 +157,10 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
       | Ok () ->
           Alcotest.failf "%s: replayed trace ends in a non-violating state" nm
     in
-    let seq_len =
-      match E.explore ~invariant ~reduction ~cfg ~wiring ~inputs () with
-      | E.Invariant_failed (_, v) ->
-          replay_and_check (name ^ " seq-bfs") (List.map fst v.E.trace);
-          List.length v.E.trace
-      | _ -> Alcotest.failf "%s: sequential BFS missed the violation" name
-    in
+    (match E.explore ~invariant ~reduction ~cfg ~wiring ~inputs () with
+    | E.Invariant_failed (_, v) ->
+        replay_and_check (name ^ " seq-bfs") (List.map fst v.E.trace)
+    | _ -> Alcotest.failf "%s: sequential BFS missed the violation" name);
     (match E.check_exhaustive ~invariant ~reduction ~cfg ~wiring ~inputs () with
     | E.Dfs_invariant_failed { path; state; _ } ->
         replay_and_check (name ^ " seq-dfs") path;
@@ -204,22 +173,6 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
           (E.encode_state cfg state)
           (E.encode_state cfg final)
     | _ -> Alcotest.failf "%s: DFS missed the violation" name);
-    List.iter
-      (fun domains ->
-        match
-          Par.explore ~invariant ~reduction ~domains ~cfg ~wiring ~inputs ()
-        with
-        | Par.Par_invariant_failed { trace; _ } ->
-            replay_and_check
-              (Printf.sprintf "%s par%d" name domains)
-              (List.map fst trace);
-            Alcotest.(check int)
-              (Printf.sprintf "%s par%d: minimal trace length" name domains)
-              seq_len (List.length trace)
-        | _ ->
-            Alcotest.failf "%s: parallel BFS (%d domains) missed the violation"
-              name domains)
-      domain_counts;
     List.iter
       (fun domains ->
         match
@@ -692,16 +645,22 @@ let test_ws_governor_trip_mid_steal () =
       Alcotest.(check bool) "made progress before tripping" true (states > 0)
   | _ -> Alcotest.fail "quota trip must yield Ws_exhausted");
   Gov.dispose g;
-  (* Sweep level: the governor error string matches the shared shape. *)
+  (* Sweep level: the trip surfaces as the shared structured error, and
+     its message keeps the shared shape. *)
   let g = Gov.create ~quota:25 () in
   (match
      SnapDiff.Ws.check_all_wirings ~governor:g ~domains:2 ~cfg ~inputs ()
    with
-  | Error msg ->
+  | Error (Modelcheck.Explorer.Budget_exhausted { reason; message = msg }) ->
+      Alcotest.(check string) "sweep quota reason" "quota"
+        (Gov.reason_to_string reason);
       Alcotest.(check bool)
         (Fmt.str "sweep error names exhaustion: %s" msg)
         true
         (String.length msg >= 9 && String.sub msg 0 9 = "exhausted")
+  | Error e ->
+      Alcotest.failf "expected Budget_exhausted, got: %s"
+        (Modelcheck.Explorer.sweep_error_message e)
   | Ok _ -> Alcotest.fail "quota-bounded sweep cannot finish");
   Gov.dispose g
 
@@ -880,7 +839,7 @@ let test_processor_limits_structured () =
      overflow the fault explorer's crash-mask byte.  Both must be
      structured errors, not silent corruption. *)
   let module WsE = WsDiff.E in
-  let module WsPar = WsDiff.Par in
+  let module WsWs = WsDiff.Ws in
   let module WsFE = Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Write_scan) in
   let cfg16 = Algorithms.Write_scan.cfg ~n:16 ~m:2 in
   let wiring16 = Anonmem.Wiring.identity ~n:16 ~m:2 in
@@ -898,8 +857,8 @@ let test_processor_limits_structured () =
       WsE.explore ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
   expect_unsupported "check_exhaustive" (fun () ->
       WsE.check_exhaustive ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
-  expect_unsupported "par explore" (fun () ->
-      WsPar.explore ~domains:2 ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
+  expect_unsupported "ws explore" (fun () ->
+      WsWs.explore ~domains:2 ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
   let cfg9 = Algorithms.Write_scan.cfg ~n:9 ~m:2 in
   expect_unsupported "fault explore (crash-mask byte)" (fun () ->
       WsFE.explore
@@ -920,24 +879,21 @@ let test_processor_limits_structured () =
 (* --- Core-level engine switching ------------------------------------ *)
 
 let test_core_engine_parity () =
-  let run ?(reduction = false) ?(domains = 1) ?(ws = false) () =
-    match Core.verify_snapshot_model ~n:2 ~reduction ~domains ~ws () with
+  let run ?(reduction = false) ?(domains = 1) () =
+    match Core.verify_snapshot_model ~n:2 ~reduction ~domains () with
     | Ok s -> s
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
   in
   let seq = run () in
   let par = run ~domains:2 () in
-  let wse = run ~domains:2 ~ws:true () in
-  Alcotest.(check int) "ws engine total states"
-    seq.Modelcheck.Explorer.total_states wse.Modelcheck.Explorer.total_states;
-  Alcotest.(check int) "ws engine total transitions"
-    seq.Modelcheck.Explorer.total_transitions
-    wse.Modelcheck.Explorer.total_transitions;
   Alcotest.(check int) "total states" seq.Modelcheck.Explorer.total_states
     par.Modelcheck.Explorer.total_states;
   Alcotest.(check int) "total transitions"
     seq.Modelcheck.Explorer.total_transitions
     par.Modelcheck.Explorer.total_transitions;
+  Alcotest.(check int) "terminal states"
+    seq.Modelcheck.Explorer.terminal_states
+    par.Modelcheck.Explorer.terminal_states;
   let red = run ~reduction:true () in
   let parred = run ~reduction:true ~domains:2 () in
   Alcotest.(check int) "reduced totals agree across engines"

@@ -1,7 +1,7 @@
 (* Differential verification matrix for the literature portfolio
    (Rt_mutex, Naming, Weak_leader): the three engines — sequential BFS,
-   symmetry-reduced sequential, and the sharded parallel BFS at 1/2/4
-   domains — must agree on every (task, n, m) cell they all cover; clean
+   symmetry-reduced sequential, and the work-stealing parallel BFS at
+   1/2/4 domains — must agree on every (task, n, m) cell they all cover; clean
    cells verify, violating cells produce witnesses that replay through
    Witness.Replay; the planted-bug variants are caught with replayable
    counterexamples; and the crash-stop sweeps keep exclusion and
@@ -14,10 +14,10 @@ module Rm = Algorithms.Rt_mutex
 module Nm = Algorithms.Naming
 module Wl = Algorithms.Weak_leader
 module RmE = Modelcheck.Explorer.Make (Modelcheck.Codecs.Rt_mutex)
-module RmPar = Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Rt_mutex)
+module RmPar = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Rt_mutex)
 module RmReplay = Modelcheck.Witness.Replay (Modelcheck.Codecs.Rt_mutex)
 module NmE = Modelcheck.Explorer.Make (Modelcheck.Codecs.Naming)
-module NmPar = Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Naming)
+module NmPar = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Naming)
 module NmReplay = Modelcheck.Witness.Replay (Modelcheck.Codecs.Naming)
 module WlE = Modelcheck.Explorer.Make (Modelcheck.Codecs.Weak_leader)
 module WlReplay = Modelcheck.Witness.Replay (Modelcheck.Codecs.Weak_leader)
@@ -36,8 +36,8 @@ let verdict_kind = function
 (* The spin loops put real (unfair) cycles in even the deadlock-free
    spaces, so the DFS sweep stops early at the first back edge and its
    partial state count is not comparable; the exact parity bar is the
-   per-wiring sequential BFS against the sharded parallel BFS at each
-   domain count, unreduced and reduced. *)
+   per-wiring sequential BFS against the work-stealing parallel BFS at
+   each domain count, unreduced and reduced. *)
 let test_mutex_clean_cell_all_engines () =
   let n = 2 and m = 3 in
   let cfg = Rm.cfg ~n ~m in
@@ -87,7 +87,9 @@ let test_mutex_clean_cell_all_engines () =
                 (nm ^ ": visited-state parity")
                 (if reduction then seq_red_states else seq_states)
                 s.Modelcheck.Explorer.total_states
-          | Error e -> Alcotest.failf "%s: %s" nm e)
+          | Error e ->
+              Alcotest.failf "%s: %s" nm
+                (Modelcheck.Explorer.sweep_error_message e))
         [ false; true ])
     [ 1; 2; 4 ]
 
@@ -123,7 +125,9 @@ let test_naming_clean_cell_all_engines () =
           Alcotest.(check int)
             (Printf.sprintf "naming(2,3) par%d: visited-state parity" domains)
             seq_states s.Modelcheck.Explorer.total_states
-      | Error e -> Alcotest.failf "naming(2,3) par%d: %s" domains e)
+      | Error e ->
+          Alcotest.failf "naming(2,3) par%d: %s" domains
+            (Modelcheck.Explorer.sweep_error_message e))
     [ 1; 2; 4 ]
 
 let test_leader_clean_cell () =
@@ -270,12 +274,16 @@ let test_mutex_exclusion_survives_crashes () =
       Alcotest.(check int)
         "mutex(2,3) crash sweep: all wirings" 6
         s.Core.Rt_mutex_fault_mc.wirings_checked
-  | Error e -> Alcotest.failf "mutex(2,3) under crashes: %s" e
+  | Error e ->
+      Alcotest.failf "mutex(2,3) under crashes: %s"
+        (Modelcheck.Explorer.sweep_error_message e)
 
 let test_naming_distinctness_survives_crashes () =
   match Core.verify_naming_crashes ~n:2 ~m:3 ~max_crashes:1 () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "naming(2,3) under crashes: %s" e
+  | Error e ->
+      Alcotest.failf "naming(2,3) under crashes: %s"
+        (Modelcheck.Explorer.sweep_error_message e)
 
 (* --- n=3 cells ----------------------------------------------------------- *)
 
