@@ -28,6 +28,26 @@ let install_signal_handlers () =
     (fun s -> Sys.set_signal s (Sys.Signal_handle handle))
     [ Sys.sigint; Sys.sigterm ]
 
+(* The exit contract of a wiring sweep that stopped short of a verdict:
+   violations exit 2, state caps and budgets 3, interrupts 4.  [hint]
+   prints how to resume a budget-stopped run. *)
+let exit_on_sweep_error ?(hint = ignore) = function
+  | Modelcheck.Explorer.Budget_exhausted
+      { reason = Modelcheck.Governor.Interrupted; message } ->
+      Printf.printf "interrupted: %s\n" message;
+      hint ();
+      Stdlib.exit exit_interrupted
+  | Modelcheck.Explorer.Budget_exhausted { message; _ } ->
+      Printf.printf "budget exhausted: %s\n" message;
+      hint ();
+      Stdlib.exit exit_exhausted
+  | Modelcheck.Explorer.State_limit_hit message ->
+      print_endline message;
+      Stdlib.exit exit_exhausted
+  | Modelcheck.Explorer.Violation message ->
+      prerr_endline message;
+      Stdlib.exit exit_violation
+
 (* Durable writes for result artifacts: never leave a half-written JSON
    where a consumer (or a resumed run) will read it. *)
 let write_file_atomic path content =
@@ -283,22 +303,8 @@ let check_snapshot_cmd =
          else "")
         f
     in
-    let finish_durably = function
-      | Modelcheck.Explorer.Budget_exhausted
-          { reason = Modelcheck.Governor.Interrupted; message } ->
-          Printf.printf "interrupted: %s\n" message;
-          Option.iter resume_hint checkpoint;
-          Stdlib.exit exit_interrupted
-      | Modelcheck.Explorer.Budget_exhausted { message; _ } ->
-          Printf.printf "budget exhausted: %s\n" message;
-          Option.iter resume_hint checkpoint;
-          Stdlib.exit exit_exhausted
-      | Modelcheck.Explorer.State_limit_hit message ->
-          print_endline message;
-          Stdlib.exit exit_exhausted
-      | Modelcheck.Explorer.Violation message ->
-          prerr_endline message;
-          Stdlib.exit exit_violation
+    let finish_durably =
+      exit_on_sweep_error ~hint:(fun () -> Option.iter resume_hint checkpoint)
     in
     (* A clean verdict retires the checkpoint: resuming a finished run
        must start over, not replay a stale position. *)
@@ -473,14 +479,20 @@ let check_consensus_cmd =
       & info [ "max-ts" ] ~docv:"T" ~doc:"Timestamp bound for the exploration.")
   in
   let run n max_ts =
-    match Core.verify_consensus_bounded ~n ~max_ts () with
+    install_signal_handlers ();
+    let governor =
+      Modelcheck.Governor.create ~interrupted_flag:interrupted ()
+    in
+    let result = Core.verify_consensus_bounded ~n ~max_ts ~governor () in
+    Modelcheck.Governor.dispose governor;
+    match result with
     | Ok states ->
         Printf.printf
           "verified: agreement and validity hold for n=%d over all wirings \
            and interleavings with timestamps <= %d (%d states)\n"
           n max_ts states;
         `Ok ()
-    | Error e -> `Error (false, e)
+    | Error e -> exit_on_sweep_error e
   in
   Cmd.v
     (Cmd.info "check-consensus"

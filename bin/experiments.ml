@@ -208,7 +208,9 @@ let consensus_mc () =
             "  n=2 inputs (%d,%d) timestamps<=%d: agreement+validity hold \
              over all wirings/interleavings; %d states\n"
             inputs.(0) inputs.(1) max_ts states
-      | Error e -> Printf.printf "  FAILED: %s\n" e)
+      | Error e ->
+          Printf.printf "  FAILED: %s\n"
+            (Modelcheck.Explorer.sweep_error_message e))
     [ ([| 1; 2 |], 4); ([| 1; 2 |], 5); ([| 1; 1 |], 5) ];
   print_endline
     "  note: with the naive reading of the Figure-5 rule (a processor whose\n\

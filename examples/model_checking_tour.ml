@@ -51,4 +51,6 @@ let () =
         "   agreement and validity hold over all wirings and interleavings \
          (%d states)\n"
         states
-  | Error e -> failwith ("consensus bounded check: " ^ e)
+  | Error e ->
+      failwith
+        ("consensus bounded check: " ^ Modelcheck.Explorer.sweep_error_message e)

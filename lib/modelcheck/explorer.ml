@@ -102,6 +102,44 @@ let empty_summary =
     all_wait_free = true;
   }
 
+(** Fold one clean wiring's counts into a sweep summary. *)
+let add_wiring s ~states ~transitions ~terminals =
+  {
+    s with
+    wirings_checked = s.wirings_checked + 1;
+    total_states = s.total_states + states;
+    max_space_states = max s.max_space_states states;
+    total_transitions = s.total_transitions + transitions;
+    terminal_states = s.terminal_states + terminals;
+  }
+
+(** The DFS sweep's checkpoint section: 6 ints after the wiring index. *)
+let sweep_codec =
+  {
+    Sweep.section = "sweep";
+    width = 6;
+    encode =
+      (fun s ->
+        [|
+          s.wirings_checked;
+          s.total_states;
+          s.max_space_states;
+          s.total_transitions;
+          s.terminal_states;
+          (if s.all_wait_free then 1 else 0);
+        |]);
+    decode =
+      (fun a ->
+        {
+          wirings_checked = a.(0);
+          total_states = a.(1);
+          max_space_states = a.(2);
+          total_transitions = a.(3);
+          terminal_states = a.(4);
+          all_wait_free = a.(5) = 1;
+        });
+  }
+
 type fp_summary = {
   fp_wirings : int;
   fp_total_states : int;
@@ -132,6 +170,45 @@ let empty_fp_summary =
     fp_spill_bytes = 0;
   }
 
+(** The fingerprint sweep's checkpoint section: 9 ints after the wiring
+    index.  The float bound travels as the two 32-bit halves of its
+    IEEE-754 image (the int sections are 63-bit-safe, a raw
+    [bits_of_float] is not). *)
+let fp_sweep_codec =
+  {
+    Sweep.section = "fp_sweep";
+    width = 9;
+    encode =
+      (fun s ->
+        let bits = Int64.bits_of_float s.fp_omission_bound in
+        [|
+          s.fp_wirings;
+          s.fp_total_states;
+          s.fp_max_space_states;
+          s.fp_total_transitions;
+          s.fp_terminal_states;
+          s.fp_spilled_runs;
+          s.fp_spill_bytes;
+          Int64.to_int (Int64.logand bits 0xffffffffL);
+          Int64.to_int (Int64.shift_right_logical bits 32);
+        |]);
+    decode =
+      (fun a ->
+        {
+          fp_wirings = a.(0);
+          fp_total_states = a.(1);
+          fp_max_space_states = a.(2);
+          fp_total_transitions = a.(3);
+          fp_terminal_states = a.(4);
+          fp_spilled_runs = a.(5);
+          fp_spill_bytes = a.(6);
+          fp_omission_bound =
+            Int64.float_of_bits
+              (Int64.logor (Int64.of_int a.(7))
+                 (Int64.shift_left (Int64.of_int a.(8)) 32));
+        });
+  }
+
 (** Why a wiring sweep stopped short of a verdict, kept structured so a
     caller such as the CLI can map each cause to its own exit code
     without parsing the message.  Every message names the wiring it
@@ -143,7 +220,8 @@ type sweep_error =
           the cap and the [--max-states] flag that raises it *)
   | Budget_exhausted of { reason : Governor.reason; message : string }
       (** a resource governor tripped; resumable when a checkpoint
-          policy was in force *)
+          policy was in force.  The message names the flag or argument
+          that relieves the reason *)
 
 let sweep_error_message = function
   | Violation m | State_limit_hit m | Budget_exhausted { message = m; _ } -> m
@@ -156,12 +234,21 @@ let state_limit_error ~engine ~wiring ~limit ~states =
        engine states limit Anonmem.Wiring.pp wiring)
 
 let exhausted_error ~wiring ~reason ~states =
+  (* Name the knob that relieves each governor trip. *)
+  let remedy =
+    match reason with
+    | Governor.Wall_clock -> "raise the wall-clock budget with --max-seconds"
+    | Governor.Heap -> "raise the heap budget with --max-heap-mb"
+    | Governor.Interrupted ->
+        "rerun, with --resume when a checkpoint was written"
+    | Governor.Quota -> "raise the ~quota argument of the governor"
+  in
   Budget_exhausted
     {
       reason;
       message =
-        Fmt.str "exhausted (%a) at %d states under wiring %a"
-          Governor.pp_reason reason states Anonmem.Wiring.pp wiring;
+        Fmt.str "exhausted (%a) at %d states under wiring %a; %s"
+          Governor.pp_reason reason states Anonmem.Wiring.pp wiring remedy;
     }
 
 let invariant_error ~wiring message =
@@ -1003,77 +1090,26 @@ module Make (P : CHECKABLE) = struct
     else if !limit then Dfs_state_limit (State_table.length table)
     else match !outcome with Some r -> r | None -> Dfs_ok (stats ())
 
-  (** Check an invariant and wait-freedom across a set of wirings —
-      by default every wiring with processor 0's permutation pinned to the
-      identity (register anonymity makes the restriction lossless) — for
-      one input assignment, using the lean DFS pass.  [on_wiring] observes
-      each per-wiring result as it completes.  [~reduction:true]
-      additionally quotients each per-wiring space by its anonymity
-      symmetries. *)
-  (* Sweep position for multi-wiring checkpoints: the wiring index plus
-     the summary accumulated over the wirings *before* it.  Stored as an
-     extra section in the per-wiring DFS checkpoint, so one file resumes
-     both the in-flight wiring and the sweep around it. *)
-  let sweep_to_ints idx s =
-    [|
-      idx;
-      s.wirings_checked;
-      s.total_states;
-      s.max_space_states;
-      s.total_transitions;
-      s.terminal_states;
-      (if s.all_wait_free then 1 else 0);
-    |]
-
-  let sweep_of_ints a =
-    if Array.length a <> 7 then
-      raise
-        (Checkpoint.Corrupt_checkpoint "sweep section of wrong length");
-    ( a.(0),
-      {
-        wirings_checked = a.(1);
-        total_states = a.(2);
-        max_space_states = a.(3);
-        total_transitions = a.(4);
-        terminal_states = a.(5);
-        all_wait_free = a.(6) = 1;
-      } )
-
+  (** Check an invariant and wait-freedom across every wiring with
+      processor 0's permutation pinned to the identity (register
+      anonymity makes the restriction lossless) for one input
+      assignment, using the lean DFS pass; the first cycle is a
+      wait-freedom violation.  [~reduction:true] additionally quotients
+      each per-wiring space by its anonymity symmetries.  With [ckpt]
+      the sweep position rides in the per-wiring DFS checkpoint as the
+      ["sweep"] section (index plus the summary of the wirings before
+      it), so one file resumes both the in-flight wiring and the sweep
+      around it. *)
   let check_all_wirings ?(max_states = dfs_max_states) ?invariant
-      ?(require_wait_free = true) ?on_wiring ?wirings ?(reduction = false)
-      ?governor ?ckpt ?(resume = false) ~cfg ~inputs () =
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let wiring_arr = Array.of_list wirings in
-    let start_idx, start_summary, resume_idx =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let idx, s =
-            sweep_of_ints
-              (Checkpoint.ints_of_bytes (Checkpoint.find "sweep" sections))
-          in
-          if idx < 0 || idx >= Array.length wiring_arr then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "sweep index outside the wiring list");
-          (idx, s, Some idx)
-      | _ -> (0, empty_summary, None)
-    in
-    let rec go idx summary =
-      if idx >= Array.length wiring_arr then Ok summary
-      else
-        let wiring = wiring_arr.(idx) in
-        let ckpt_extra =
-          [ ("sweep", Checkpoint.bytes_of_ints (sweep_to_ints idx summary)) ]
-        in
+    Sweep.fold ?ckpt ~resume ~codec:sweep_codec ~init:empty_summary
+      (Anonmem.Wiring.enumerate ~n ~m ~fix_first:true)
+      (fun at wiring summary ->
         match
           check_exhaustive ~max_states ?invariant ~reduction ?governor ?ckpt
-            ~resume:(resume_idx = Some idx) ~ckpt_extra ~cfg ~wiring ~inputs ()
+            ~resume:at.Sweep.resume ~ckpt_extra:at.Sweep.ckpt_extra ~cfg
+            ~wiring ~inputs ()
         with
         | Dfs_exhausted { reason; stats } ->
             Error (exhausted_error ~wiring ~reason ~states:stats.dfs_states)
@@ -1083,35 +1119,12 @@ module Make (P : CHECKABLE) = struct
                  ~limit:max_states ~states:k)
         | Dfs_invariant_failed { message; _ } ->
             Error (invariant_error ~wiring message)
-        | Dfs_cycle { processors; stats } ->
-            let summary =
-              {
-                summary with
-                wirings_checked = summary.wirings_checked + 1;
-                total_states = summary.total_states + stats.dfs_states;
-                all_wait_free = false;
-              }
-            in
-            (match on_wiring with Some f -> f wiring summary | None -> ());
-            if require_wait_free then
-              Error (wait_freedom_error ~wiring processors)
-            else go (idx + 1) summary
-        | Dfs_ok stats ->
-            let summary =
-              {
-                summary with
-                wirings_checked = summary.wirings_checked + 1;
-                total_states = summary.total_states + stats.dfs_states;
-                max_space_states = max summary.max_space_states stats.dfs_states;
-                total_transitions =
-                  summary.total_transitions + stats.dfs_transitions;
-                terminal_states = summary.terminal_states + stats.dfs_terminals;
-              }
-            in
-            (match on_wiring with Some f -> f wiring summary | None -> ());
-            go (idx + 1) summary
-    in
-    go start_idx start_summary
+        | Dfs_cycle { processors; _ } ->
+            Error (wait_freedom_error ~wiring processors)
+        | Dfs_ok st ->
+            Ok
+              (add_wiring summary ~states:st.dfs_states
+                 ~transitions:st.dfs_transitions ~terminals:st.dfs_terminals))
 
   (** {1 Fingerprint (hash-compacted) exploration}
 
@@ -1415,87 +1428,23 @@ module Make (P : CHECKABLE) = struct
           Fp_explored st
         end
 
-  (* Sweep position for multi-wiring fingerprint checkpoints; the float
-     bound travels as the two 32-bit halves of its IEEE-754 image (the
-     int sections are 63-bit-safe, a raw bits_of_float is not). *)
-  let fp_sweep_to_ints idx s =
-    let bits = Int64.bits_of_float s.fp_omission_bound in
-    [|
-      idx;
-      s.fp_wirings;
-      s.fp_total_states;
-      s.fp_max_space_states;
-      s.fp_total_transitions;
-      s.fp_terminal_states;
-      s.fp_spilled_runs;
-      s.fp_spill_bytes;
-      Int64.to_int (Int64.logand bits 0xffffffffL);
-      Int64.to_int (Int64.shift_right_logical bits 32);
-    |]
-
-  let fp_sweep_of_ints a =
-    if Array.length a <> 10 then
-      raise
-        (Checkpoint.Corrupt_checkpoint "fp sweep section of wrong length");
-    let bits =
-      Int64.logor
-        (Int64.of_int a.(8))
-        (Int64.shift_left (Int64.of_int a.(9)) 32)
-    in
-    ( a.(0),
-      {
-        fp_wirings = a.(1);
-        fp_total_states = a.(2);
-        fp_max_space_states = a.(3);
-        fp_total_transitions = a.(4);
-        fp_terminal_states = a.(5);
-        fp_spilled_runs = a.(6);
-        fp_spill_bytes = a.(7);
-        fp_omission_bound = Int64.float_of_bits bits;
-      } )
-
   (** Safety-only sweep over wirings with the fingerprint engine: same
-      iteration, checkpointing and error-string contract as
-      {!check_all_wirings}, but RAM-bounded and without wait-freedom
-      verdicts.  A fresh fingerprint set serves each wiring (runs are
-      deleted between wirings); the summary's omission bound is the union
-      bound over the per-wiring bounds. *)
-  let check_all_wirings_fp ?(max_states = fp_max_states) ?invariant ?on_wiring
-      ?wirings ?(reduction = false) ?governor ?ckpt ?(resume = false)
-      ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~inputs () =
+      iteration, checkpointing and error contract as
+      {!check_all_wirings} (its section is ["fp_sweep"]), but RAM-bounded
+      and without wait-freedom verdicts.  A fresh fingerprint set serves
+      each wiring (runs are deleted between wirings); the summary's
+      omission bound is the union bound over the per-wiring bounds. *)
+  let check_all_wirings_fp ?(max_states = fp_max_states) ?invariant
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes
+      ?batch_states ?spill_dir ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let wiring_arr = Array.of_list wirings in
-    let start_idx, start_summary, resume_idx =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let idx, s =
-            fp_sweep_of_ints
-              (Checkpoint.ints_of_bytes (Checkpoint.find "fp_sweep" sections))
-          in
-          if idx < 0 || idx >= Array.length wiring_arr then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "fp sweep index outside the wiring list");
-          (idx, s, Some idx)
-      | _ -> (0, empty_fp_summary, None)
-    in
-    let rec go idx summary =
-      if idx >= Array.length wiring_arr then Ok summary
-      else
-        let wiring = wiring_arr.(idx) in
-        let ckpt_extra =
-          [ ("fp_sweep", Checkpoint.bytes_of_ints (fp_sweep_to_ints idx summary)) ]
-        in
+    Sweep.fold ?ckpt ~resume ~codec:fp_sweep_codec ~init:empty_fp_summary
+      (Anonmem.Wiring.enumerate ~n ~m ~fix_first:true)
+      (fun at wiring summary ->
         match
           explore_fp ~max_states ?invariant ~reduction ?governor ?ckpt
-            ~resume:(resume_idx = Some idx) ~ckpt_extra ?ram_budget_bytes
-            ?batch_states ?spill_dir ~cfg ~wiring ~inputs ()
+            ~resume:at.Sweep.resume ~ckpt_extra:at.Sweep.ckpt_extra
+            ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~wiring ~inputs ()
         with
         | Fp_exhausted { reason; states } ->
             Error (exhausted_error ~wiring ~reason ~states)
@@ -1506,7 +1455,7 @@ module Make (P : CHECKABLE) = struct
         | Fp_invariant_failed { message; _ } ->
             Error (invariant_error ~wiring message)
         | Fp_explored st ->
-            let summary =
+            Ok
               {
                 fp_wirings = summary.fp_wirings + 1;
                 fp_total_states = summary.fp_total_states + st.fp_states;
@@ -1519,10 +1468,5 @@ module Make (P : CHECKABLE) = struct
                 fp_omission_bound = summary.fp_omission_bound +. st.fp_bound;
                 fp_spilled_runs = summary.fp_spilled_runs + st.fp_runs;
                 fp_spill_bytes = summary.fp_spill_bytes + st.fp_bytes_spilled;
-              }
-            in
-            (match on_wiring with Some f -> f wiring summary | None -> ());
-            go (idx + 1) summary
-    in
-    go start_idx start_summary
+              })
 end

@@ -324,58 +324,50 @@ module Make (P : Explorer.CHECKABLE) = struct
       assignment, under at most [max_crashes] crash-stops injected at
       arbitrary points. *)
   let check_all_wirings ?(max_states = default_max_states) ?max_crashes
-      ?(reduction = false) ?wirings ?governor ~invariant ~cfg ~inputs () =
+      ?(reduction = false) ?governor ~invariant ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let rec go summary = function
-      | [] -> Ok summary
-      | wiring :: rest -> (
-          match
-            explore ~max_states ?max_crashes ~reduction ?governor ~invariant
-              ~cfg ~wiring ~inputs ()
-          with
-          | Exhausted { reason; states } ->
-              Error (Explorer.exhausted_error ~wiring ~reason ~states)
-          | State_limit k ->
-              Error
-                (Explorer.state_limit_error ~engine:"Fault_explorer.explore"
-                   ~wiring ~limit:max_states ~states:k)
-          | Invariant_failed v ->
-              Error
-                (Explorer.Violation
-                  (Fmt.str
-                   "invariant violated under wiring %a with crashes {%a}: %s \
-                    (witness: %a)"
-                   Anonmem.Wiring.pp wiring
-                   Fmt.(list ~sep:comma int)
-                   (List.filter
-                      (fun p -> v.crashed land (1 lsl p) <> 0)
-                      (List.init n (fun p -> p)))
-                   v.message
-                   Fmt.(list ~sep:(any " ") pp_step)
-                   v.steps))
-          | Safe stats ->
-              go
-                {
-                  wirings_checked = summary.wirings_checked + 1;
-                  total_states = summary.total_states + stats.states;
-                  total_transitions =
-                    summary.total_transitions + stats.transitions;
-                  total_crash_branches =
-                    summary.total_crash_branches + stats.crash_branches;
-                }
-                rest)
-    in
-    go
-      {
-        wirings_checked = 0;
-        total_states = 0;
-        total_transitions = 0;
-        total_crash_branches = 0;
-      }
-      wirings
+    Sweep.fold
+      ~init:
+        {
+          wirings_checked = 0;
+          total_states = 0;
+          total_transitions = 0;
+          total_crash_branches = 0;
+        }
+      (Anonmem.Wiring.enumerate ~n ~m ~fix_first:true)
+      (fun _ wiring summary ->
+        match
+          explore ~max_states ?max_crashes ~reduction ?governor ~invariant ~cfg
+            ~wiring ~inputs ()
+        with
+        | Exhausted { reason; states } ->
+            Error (Explorer.exhausted_error ~wiring ~reason ~states)
+        | State_limit k ->
+            Error
+              (Explorer.state_limit_error ~engine:"Fault_explorer.explore"
+                 ~wiring ~limit:max_states ~states:k)
+        | Invariant_failed v ->
+            Error
+              (Explorer.Violation
+                 (Fmt.str
+                    "invariant violated under wiring %a with crashes {%a}: %s \
+                     (witness: %a)"
+                    Anonmem.Wiring.pp wiring
+                    Fmt.(list ~sep:comma int)
+                    (List.filter
+                       (fun p -> v.crashed land (1 lsl p) <> 0)
+                       (List.init n (fun p -> p)))
+                    v.message
+                    Fmt.(list ~sep:(any " ") pp_step)
+                    v.steps))
+        | Safe stats ->
+            Ok
+              {
+                wirings_checked = summary.wirings_checked + 1;
+                total_states = summary.total_states + stats.states;
+                total_transitions =
+                  summary.total_transitions + stats.transitions;
+                total_crash_branches =
+                  summary.total_crash_branches + stats.crash_branches;
+              })
 end

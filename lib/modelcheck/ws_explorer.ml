@@ -454,47 +454,27 @@ module Make (P : Explorer.CHECKABLE) = struct
       engine itself carries no checkpoint, so exhaustion is terminal for
       the sweep). *)
   let check_all_wirings ?(max_states = default_max_states) ?invariant
-      ?(require_wait_free = true) ?on_wiring ?wirings ?(reduction = false)
-      ?governor ~domains ~cfg ~inputs () =
+      ?(reduction = false) ?governor ~domains ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let rec go (summary : Explorer.summary) = function
-      | [] -> Ok summary
-      | wiring :: rest -> (
-          match
-            explore ~max_states ?invariant ~reduction ?governor ~domains ~cfg
-              ~wiring ~inputs ()
-          with
-          | Ws_exhausted { reason; states } ->
-              Error (Explorer.exhausted_error ~wiring ~reason ~states)
-          | Ws_state_limit k ->
-              Error
-                (Explorer.state_limit_error ~engine:"Ws_explorer.explore"
-                   ~wiring ~limit:max_states ~states:k)
-          | Ws_invariant_failed { message; _ } ->
-              Error (Explorer.invariant_error ~wiring message)
-          | Ws_ok { stats; wait_free; divergent } ->
-              if require_wait_free && not wait_free then
-                Error (Explorer.wait_freedom_error ~wiring divergent)
-              else begin
-                let summary =
-                  {
-                    Explorer.wirings_checked = summary.wirings_checked + 1;
-                    total_states = summary.total_states + stats.states;
-                    max_space_states = max summary.max_space_states stats.states;
-                    total_transitions =
-                      summary.total_transitions + stats.transitions;
-                    terminal_states = summary.terminal_states + stats.terminals;
-                    all_wait_free = summary.all_wait_free && wait_free;
-                  }
-                in
-                (match on_wiring with Some f -> f wiring summary | None -> ());
-                go summary rest
-              end)
-    in
-    go Explorer.empty_summary wirings
+    Sweep.fold ~init:Explorer.empty_summary
+      (Anonmem.Wiring.enumerate ~n ~m ~fix_first:true)
+      (fun _ wiring summary ->
+        match
+          explore ~max_states ?invariant ~reduction ?governor ~domains ~cfg
+            ~wiring ~inputs ()
+        with
+        | Ws_exhausted { reason; states } ->
+            Error (Explorer.exhausted_error ~wiring ~reason ~states)
+        | Ws_state_limit k ->
+            Error
+              (Explorer.state_limit_error ~engine:"Ws_explorer.explore" ~wiring
+                 ~limit:max_states ~states:k)
+        | Ws_invariant_failed { message; _ } ->
+            Error (Explorer.invariant_error ~wiring message)
+        | Ws_ok { divergent = _ :: _ as divergent; _ } ->
+            Error (Explorer.wait_freedom_error ~wiring divergent)
+        | Ws_ok { stats; _ } ->
+            Ok
+              (Explorer.add_wiring summary ~states:stats.states
+                 ~transitions:stats.transitions ~terminals:stats.terminals))
 end

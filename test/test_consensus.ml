@@ -156,12 +156,39 @@ let test_no_register_writes_outside_snapshot () =
 let test_bounded_model_check_agreement () =
   match Core.verify_consensus_bounded ~n:2 ~max_ts:4 () with
   | Ok states -> Alcotest.(check bool) "nontrivial space" true (states > 1_000)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
 
 let test_bounded_model_check_same_inputs () =
   match Core.verify_consensus_bounded ~n:2 ~inputs:(Some [| 3; 3 |]) ~max_ts:4 () with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The consensus sweep reports through the shared structured sweep
+   errors: a state cap names engine, wiring, limit and flag; a governor
+   trip keeps its reason. *)
+let test_bounded_model_check_structured_errors () =
+  (match Core.verify_consensus_bounded ~n:2 ~max_ts:4 ~max_states:10 () with
+  | Error (Modelcheck.Explorer.State_limit_hit m) ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) ("limit message names " ^ sub) true
+            (contains m sub))
+        [ "Explorer.check_exhaustive"; "wiring"; "limit 10"; "--max-states" ]
+  | _ -> Alcotest.fail "expected State_limit_hit");
+  let governor = Modelcheck.Governor.create ~quota:50 () in
+  (match Core.verify_consensus_bounded ~n:2 ~max_ts:4 ~governor () with
+  | Error
+      (Modelcheck.Explorer.Budget_exhausted
+         { reason = Modelcheck.Governor.Quota; _ }) -> ()
+  | _ -> Alcotest.fail "expected a quota Budget_exhausted");
+  Modelcheck.Governor.dispose governor
 
 let prop_consensus_valid =
   QCheck.Test.make ~name:"consensus agreement+validity on random configs"
@@ -211,6 +238,8 @@ let () =
             test_bounded_model_check_agreement;
           Alcotest.test_case "bounded model check: same inputs" `Quick
             test_bounded_model_check_same_inputs;
+          Alcotest.test_case "bounded model check: structured errors" `Quick
+            test_bounded_model_check_structured_errors;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_consensus_valid ]);
     ]

@@ -182,6 +182,33 @@ let test_reason_strings () =
     "unknown string" None
     (Gov.reason_of_string "bogus")
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Every exhausted message names the knob that relieves its reason. *)
+let test_exhausted_names_remedy () =
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  List.iter
+    (fun (reason, flag) ->
+      let m =
+        Modelcheck.Explorer.sweep_error_message
+          (Modelcheck.Explorer.exhausted_error ~wiring ~reason ~states:7)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s message names %s" (Gov.reason_to_string reason)
+           flag)
+        true (contains m flag))
+    [
+      (Gov.Wall_clock, "--max-seconds");
+      (Gov.Heap, "--max-heap-mb");
+      (Gov.Interrupted, "--resume");
+      (Gov.Quota, "~quota");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* State_table / Packed_vec serialization (satellite 3)                *)
 (* ------------------------------------------------------------------ *)
@@ -611,6 +638,50 @@ let test_fp_sweep_resume_parity () =
   if Sys.file_exists path then Sys.remove path;
   rm_rf_runs (path ^ ".runs")
 
+let test_dfs_sweep_resume_parity () =
+  (* What check-snapshot --checkpoint runs: the DFS sweep over every n=2
+     wiring, interrupted inside a later wiring and resumed, must report
+     the uninterrupted summary field by field. *)
+  let module X = Modelcheck.Explorer in
+  let reference =
+    match Core.verify_snapshot_model ~n:2 () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (X.sweep_error_message e)
+  in
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 25 } in
+  let stopped_in_later_wiring = ref false in
+  let (result, rounds) =
+    drive ~quota:500 (fun g ->
+        match
+          Core.verify_snapshot_model ~n:2 ~governor:g ~ckpt ~resume:true ()
+        with
+        | Ok s -> Ok s
+        | Error (X.Budget_exhausted _) ->
+            let pos =
+              Ckpt.ints_of_bytes (Ckpt.find "sweep" (Ckpt.load ~path))
+            in
+            if pos.(0) > 0 then stopped_in_later_wiring := true;
+            Error ()
+        | Error e -> Alcotest.fail (X.sweep_error_message e))
+  in
+  Alcotest.(check bool) "DFS sweep was actually interrupted" true (rounds > 0);
+  Alcotest.(check bool)
+    "interrupted past the first wiring" true !stopped_in_later_wiring;
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check int) name (field reference) (field result))
+    [
+      ("wirings", fun s -> s.X.wirings_checked);
+      ("states", fun s -> s.X.total_states);
+      ("largest space", fun s -> s.X.max_space_states);
+      ("transitions", fun s -> s.X.total_transitions);
+      ("terminals", fun s -> s.X.terminal_states);
+    ];
+  Alcotest.(check bool)
+    "wait-free" reference.X.all_wait_free result.X.all_wait_free;
+  if Sys.file_exists path then Sys.remove path
+
 module Snap_fault = Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Snapshot)
 
 let test_fault_resume_parity () =
@@ -721,6 +792,132 @@ let test_verify_mutex_sweep_resume () =
   Alcotest.(check (pair int int))
     "verify_mutex sweep resume parity" reference result;
   if Sys.file_exists path then Sys.remove path
+
+(* ------------------------------------------------------------------ *)
+(* Sweep positions                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The three checkpointing sweeps, each with the section that holds its
+   position (wiring index, then the accumulator). *)
+let durable_sweeps =
+  let ignore_result r = ignore (r : (_, _) result) in
+  [
+    ( "DFS",
+      "sweep",
+      fun ?governor ~ckpt () ->
+        ignore_result
+          (Core.verify_snapshot_model ~n:2 ?governor ~ckpt ~resume:true ()) );
+    ( "fingerprint",
+      "fp_sweep",
+      fun ?governor ~ckpt () ->
+        ignore_result
+          (Core.verify_snapshot_model_fp ~n:2 ?governor ~ckpt ~resume:true ())
+    );
+    ( "mutex",
+      "sweep",
+      fun ?governor ~ckpt () ->
+        ignore
+          (Core.verify_mutex ~n:2 ~m:3 ~packed:true ?governor ~ckpt
+             ~resume:true ()) );
+  ]
+
+(* The sections of a checkpoint left by a quota trip inside the sweep. *)
+let interrupted_sections run =
+  let path = fresh_path ".ckpt" in
+  let governor = Gov.create ~quota:3_000 () in
+  run ?governor:(Some governor)
+    ~ckpt:{ Ckpt.path; every_states = 1_000_000 }
+    ();
+  Gov.dispose governor;
+  let sections = Ckpt.load ~path in
+  Sys.remove path;
+  rm_rf_runs (path ^ ".runs");
+  sections
+
+(* Resume [run] from [sections] with the sweep section's payload replaced
+   ([None] drops the section): [`Ran] or [`Refused] (Corrupt_checkpoint);
+   any other exception escapes. *)
+let resume_with run ~section sections payload =
+  let path = fresh_path ".ckpt" in
+  Ckpt.save ~path
+    (List.filter_map
+       (fun (tag, p) ->
+         if tag <> section then Some (tag, p)
+         else Option.map (fun p -> (tag, p)) payload)
+       sections);
+  let outcome =
+    match run ?governor:None ~ckpt:{ Ckpt.path; every_states = 1_000_000 } ()
+    with
+    | () -> `Ran
+    | exception Ckpt.Corrupt_checkpoint _ -> `Refused
+  in
+  if Sys.file_exists path then Sys.remove path;
+  rm_rf_runs (path ^ ".runs");
+  outcome
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Fmt.string ppf (match o with `Ran -> "ran" | `Refused -> "refused"))
+    ( = )
+
+(* One resume policy for every sweep: a position that is missing, the
+   wrong length, out of range or negative is refused, never restarted
+   from wiring 0. *)
+let test_sweep_position_refused () =
+  List.iter
+    (fun (name, section, run) ->
+      let sections = interrupted_sections run in
+      let pos = Ckpt.ints_of_bytes (Ckpt.find section sections) in
+      let with_field i v =
+        let a = Array.copy pos in
+        a.(i) <- v;
+        Some (Ckpt.bytes_of_ints a)
+      in
+      let check what want payload =
+        Alcotest.check outcome
+          (Printf.sprintf "%s: %s" name what)
+          want
+          (resume_with run ~section sections payload)
+      in
+      check "intact position resumes" `Ran (Some (Ckpt.bytes_of_ints pos));
+      check "missing section" `Refused None;
+      check "short section" `Refused
+        (Some (Ckpt.bytes_of_ints (Array.sub pos 0 (Array.length pos - 1))));
+      check "long section" `Refused
+        (Some (Ckpt.bytes_of_ints (Array.append pos [| 0 |])));
+      check "index past the last wiring" `Refused (with_field 0 1_000);
+      check "negative index" `Refused (with_field 0 (-1));
+      check "negative count" `Refused (with_field 1 (-5)))
+    durable_sweeps
+
+(* Byte-fuzz each sweep section: arbitrary payloads and single-field
+   mutations of a real position either resume or are refused with
+   Corrupt_checkpoint — no other exception escapes. *)
+let sweep_position_fuzz (name, section, run) =
+  let sections = interrupted_sections run in
+  let pos = Ckpt.ints_of_bytes (Ckpt.find section sections) in
+  let payload =
+    QCheck.Gen.(
+      oneof
+        [
+          map Bytes.of_string (string_size (int_bound 96));
+          map2
+            (fun i v ->
+              let a = Array.copy pos in
+              a.(i) <- v;
+              Ckpt.bytes_of_ints a)
+            (int_bound (Array.length pos - 1))
+            (oneof [ small_signed_int; int; return max_int; return min_int ]);
+        ])
+  in
+  QCheck.Test.make
+    ~count:(max 1 (qcheck_count / 4))
+    ~name:(name ^ " sweep section fuzz")
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) payload)
+    (fun p ->
+      match resume_with run ~section sections (Some p) with
+      | `Ran | `Refused -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Map-level crash-resume differential                                 *)
@@ -867,6 +1064,8 @@ let () =
           Alcotest.test_case "shared interrupt flag" `Quick
             test_governor_interrupt_shared;
           Alcotest.test_case "reason strings" `Quick test_reason_strings;
+          Alcotest.test_case "exhausted messages name the remedy" `Quick
+            test_exhausted_names_remedy;
         ] );
       ( "state-table-serialization",
         [
@@ -893,6 +1092,7 @@ let () =
             test_fp_corrupt_run_refused;
           Alcotest.test_case "fingerprint sweep" `Quick
             test_fp_sweep_resume_parity;
+          Alcotest.test_case "DFS sweep" `Quick test_dfs_sweep_resume_parity;
           Alcotest.test_case "fault explorer" `Quick test_fault_resume_parity;
           Alcotest.test_case "packed clean cell" `Quick
             test_packed_resume_clean_parity;
@@ -901,6 +1101,12 @@ let () =
           Alcotest.test_case "verify_mutex sweep" `Quick
             test_verify_mutex_sweep_resume;
         ] );
+      ( "sweep-position",
+        Alcotest.test_case "untrusted positions refused" `Quick
+          test_sweep_position_refused
+        :: List.map
+             (fun s -> QCheck_alcotest.to_alcotest (sweep_position_fuzz s))
+             durable_sweeps );
       ( "map-differential",
         [
           Alcotest.test_case "crash at every append point" `Quick

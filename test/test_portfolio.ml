@@ -74,22 +74,26 @@ let test_mutex_clean_cell_all_engines () =
             Printf.sprintf "mutex(2,3) par%d%s" domains
               (if reduction then " reduced" else "")
           in
-          match
-            RmPar.check_all_wirings ~require_wait_free:false ~invariant
-              ~reduction ~domains ~cfg ~inputs ()
-          with
-          | Ok (s : Modelcheck.Explorer.summary) ->
-              Alcotest.(check int)
-                (nm ^ ": wiring count")
-                (List.length wirings)
-                s.Modelcheck.Explorer.wirings_checked;
-              Alcotest.(check int)
-                (nm ^ ": visited-state parity")
-                (if reduction then seq_red_states else seq_states)
-                s.Modelcheck.Explorer.total_states
-          | Error e ->
-              Alcotest.failf "%s: %s" nm
-                (Modelcheck.Explorer.sweep_error_message e))
+          (* The mutex spins, so its spaces are cyclic: sum the per-wiring
+             ws explorations rather than run a wait-free sweep. *)
+          let checked, states =
+            List.fold_left
+              (fun (w, acc) wiring ->
+                match
+                  RmPar.explore ~invariant ~reduction ~domains ~cfg ~wiring
+                    ~inputs ()
+                with
+                | RmPar.Ws_ok { stats; _ } -> (w + 1, acc + stats.RmPar.states)
+                | _ -> Alcotest.failf "%s: ws BFS must stay clean" nm)
+              (0, 0) wirings
+          in
+          Alcotest.(check int)
+            (nm ^ ": wiring count")
+            (List.length wirings) checked;
+          Alcotest.(check int)
+            (nm ^ ": visited-state parity")
+            (if reduction then seq_red_states else seq_states)
+            states)
         [ false; true ])
     [ 1; 2; 4 ]
 
@@ -117,17 +121,22 @@ let test_naming_clean_cell_all_engines () =
   in
   List.iter
     (fun domains ->
-      match
-        NmPar.check_all_wirings ~require_wait_free:false ~invariant ~domains
-          ~cfg ~inputs ()
-      with
-      | Ok (s : Modelcheck.Explorer.summary) ->
-          Alcotest.(check int)
-            (Printf.sprintf "naming(2,3) par%d: visited-state parity" domains)
-            seq_states s.Modelcheck.Explorer.total_states
-      | Error e ->
-          Alcotest.failf "naming(2,3) par%d: %s" domains
-            (Modelcheck.Explorer.sweep_error_message e))
+      let states =
+        List.fold_left
+          (fun acc wiring ->
+            match
+              NmPar.explore ~invariant ~reduction:false ~domains ~cfg ~wiring
+                ~inputs ()
+            with
+            | NmPar.Ws_ok { stats; _ } -> acc + stats.NmPar.states
+            | _ ->
+                Alcotest.failf "naming(2,3) par%d: ws BFS must stay clean"
+                  domains)
+          0 wirings
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "naming(2,3) par%d: visited-state parity" domains)
+        seq_states states)
     [ 1; 2; 4 ]
 
 let test_leader_clean_cell () =
