@@ -414,15 +414,17 @@ struct
 
   (* Liveness post-pass: the space was explored clean of safety
      violations; look for a fair SCC.  Detection is exact on reduced
-     spaces, but the lasso witness needs concrete states, so a reduced hit
-     triggers one unreduced re-exploration. *)
+     spaces, but the lasso witness needs concrete states, so a hit on a
+     proper quotient triggers one unreduced re-exploration (a trivial
+     group, as distinct inputs give, already explored the concrete
+     space). *)
   let liveness ?max_states ~cfg ~wiring ~inputs space :
       (unit, verdict) Stdlib.result =
     match find_fair_scc space with
     | None -> Ok ()
     | Some (_, live) ->
         let wspace =
-          if space.reduction = None then Some space
+          if not (is_quotient space) then Some space
           else
             match
               explore ?max_states ~reduction:false ~cfg ~wiring ~inputs ()
@@ -474,8 +476,12 @@ struct
                    path = [];
                  })
         | None ->
+            (* Read the count first: [liveness] may re-explore the
+               unreduced space, and a closure over [space] would keep the
+               reduced one live meanwhile. *)
+            let states = state_count space in
             Result.map
-              (fun () -> state_count space)
+              (fun () -> states)
               (liveness ?max_states ~cfg ~wiring ~inputs space))
 end
 

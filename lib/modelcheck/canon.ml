@@ -35,6 +35,14 @@ type sym = { pi : int array; rho : int array }
 (** One automorphism, as raw image arrays: processor [p]'s slice moves to
     slot [pi.(p)], register [r]'s slice to slot [rho.(r)]. *)
 
+type image = {
+  src : int array;
+      (** byte [i] of the image of a key is byte [src.(i)] of the key, over
+          the [n*lw + m*vw] state image *)
+  pi_of : int array;  (** the processor permutation, for crash masks *)
+}
+(** One nontrivial automorphism, precompiled for {!canonicalize_into}. *)
+
 type t = {
   n : int;
   m : int;
@@ -42,6 +50,7 @@ type t = {
   vw : int;  (** register slice width, bytes *)
   nontrivial : sym list;  (** group minus the identity *)
   group : sym list;  (** the full group, identity first *)
+  images : image array;  (** [nontrivial], precompiled *)
 }
 
 (** Interchangeability classes of an input assignment: same class iff
@@ -67,13 +76,29 @@ let make ~local_width ~value_width ~wiring ~classes =
     && Array.for_all2 ( = ) s.rho (Array.init m Fun.id)
   in
   let identity, nontrivial = List.partition is_identity group in
+  let lw = local_width and vw = value_width in
+  let compile s =
+    let src = Array.make ((n * lw) + (m * vw)) 0 in
+    for p = 0 to n - 1 do
+      for j = 0 to lw - 1 do
+        src.((s.pi.(p) * lw) + j) <- (p * lw) + j
+      done
+    done;
+    for r = 0 to m - 1 do
+      for j = 0 to vw - 1 do
+        src.((n * lw) + (s.rho.(r) * vw) + j) <- (n * lw) + (r * vw) + j
+      done
+    done;
+    { src; pi_of = s.pi }
+  in
   {
     n;
     m;
-    lw = local_width;
-    vw = value_width;
+    lw;
+    vw;
     nontrivial;
     group = identity @ nontrivial;
+    images = Array.of_list (List.map compile nontrivial);
   }
 
 let is_trivial t = t.nontrivial = []
@@ -135,3 +160,51 @@ let canonicalize t key =
     byte. *)
 let canonicalize_masked t key =
   if t.nontrivial = [] then key else minimize t apply_masked key
+
+(* The crash mask's bits move with their processors, as in
+   [apply_masked]. *)
+let rec mask_image pi mask p acc =
+  if p >= Array.length pi then acc
+  else
+    mask_image pi mask (p + 1)
+      (if mask land (1 lsl p) <> 0 then acc lor (1 lsl pi.(p)) else acc)
+
+(* Byte [i] of the image of [key] under [im]; [i = body] is the crash
+   mask, which exists only for masked keys. *)
+let image_byte im key body i =
+  if i < body then Char.code (Bytes.unsafe_get key im.src.(i))
+  else mask_image im.pi_of (Char.code (Bytes.get key body)) 0 0
+
+let rec write_image im key body w dst i =
+  if i < w then begin
+    Bytes.unsafe_set dst i (Char.unsafe_chr (image_byte im key body i));
+    write_image im key body w dst (i + 1)
+  end
+
+(* Replace [dst] by the image of [key] if the image is smaller: compare
+   lazily from the first byte and write only from the first difference
+   on. *)
+let rec improve im key body w dst i =
+  if i < w then begin
+    let c = image_byte im key body i
+    and d = Char.code (Bytes.unsafe_get dst i) in
+    if c < d then write_image im key body w dst i
+    else if c = d then improve im key body w dst (i + 1)
+  end
+
+(** [canonicalize_into t key dst] writes the orbit minimum of [key] into
+    [dst] — {!canonicalize} (or, with [~masked:true], {!canonicalize_masked})
+    on caller-owned buffers, with no image materialized per group element:
+    each image is compared against the running minimum byte by byte
+    straight from [key], and written only when it is smaller.  [key] is
+    exactly the [n*lw + m*vw] state image, plus the crash-mask byte when
+    masked; [dst] is at least that long and distinct from [key]. *)
+let canonicalize_into ?(masked = false) t key dst =
+  let body = (t.n * t.lw) + (t.m * t.vw) in
+  let w = if masked then body + 1 else body in
+  if Bytes.length key <> w || Bytes.length dst < w then
+    invalid_arg "Canon.canonicalize_into: buffer width";
+  Bytes.blit key 0 dst 0 w;
+  for g = 0 to Array.length t.images - 1 do
+    improve t.images.(g) key body w dst 0
+  done

@@ -19,8 +19,8 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt_checkpoint s)) fmt
 let magic = "ANONCKP1"
 
 (* 64-bit FNV-1a over a byte range, folded into OCaml's nonnegative int
-   range the same way State_table.hash folds it — deterministic across
-   runs, which is all a torn-write detector needs. *)
+   range — deterministic across runs, which is all a torn-write detector
+   needs. *)
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 

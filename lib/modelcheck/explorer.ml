@@ -30,6 +30,20 @@
     reduction) and the relevant input assignments; see
     {!Make.check_all_wirings}.
 
+    The hot path never builds a state record.  Every engine — the BFS
+    {!Make.explore}, the DFS {!Make.check_exhaustive}, {!Make.explore_fp},
+    {!Ws_explorer} and {!Fault_explorer} — expands a popped key through
+    one reusable {!Make.stepper}: the parent's local slices are decoded
+    once, {!Make.step_key} patches each successor into a buffer (the one
+    register a read returns is decoded; only the stepping processor's
+    local slice and, on a write, the written register slice are
+    encoded), {!Canon.canonicalize_into} takes the orbit minimum into a
+    second buffer under reduction, and {!State_table.intern_bytes} interns
+    it.  [decode_state], [successor] and [encode_state] remain the
+    reference semantics, used for traces, concretization, the invariant
+    and [stop_expansion] callbacks (which see the decoded key) and the
+    tests that hold the key path to them byte for byte.
+
     Two scaling levers sit on top of the sequential passes: the opt-in
     [~reduction] flag quotients the space by the wiring's anonymity
     symmetries ({!Canon}; sound because canonical keys are orbit minima
@@ -282,8 +296,9 @@ module Make (P : CHECKABLE) = struct
       st.registers;
     Bytes.unsafe_to_string b
 
-  let decode_state cfg key =
-    let b = Bytes.unsafe_of_string key in
+  (* Decodes the state image at the front of [b]; bytes past it (a crash
+     mask) are ignored. *)
+  let decode_bytes cfg b =
     let n = P.processors cfg and m = P.registers cfg in
     let lw = P.local_width cfg and vw = P.value_width cfg in
     {
@@ -291,6 +306,8 @@ module Make (P : CHECKABLE) = struct
       registers =
         Array.init m (fun r -> P.decode_value cfg b ((n * lw) + (r * vw)));
     }
+
+  let decode_state cfg key = decode_bytes cfg (Bytes.unsafe_of_string key)
 
   let enabled cfg st =
     List.filter
@@ -315,6 +332,105 @@ module Make (P : CHECKABLE) = struct
         { locals; registers }
 
   let outputs cfg st = Array.map (P.output cfg) st.locals
+
+  (** Width of the encoded-state keys for [cfg]. *)
+  let key_width cfg =
+    (P.processors cfg * P.local_width cfg)
+    + (P.registers cfg * P.value_width cfg)
+
+  (** {1 Key-native successors}
+
+      The engines' hot path.  [decode_state], [successor] and
+      [encode_state] above are the reference semantics; a {!stepper}
+      computes the same successor keys byte for byte without building a
+      state record.  Per popped state, {!load_parent} decodes the [n]
+      local slices of [parent_key] once.  {!step_key} then writes each
+      successor into [next_key]: it blits the parent image, decodes only the
+      one register a read returns, and encodes only processor [p]'s local
+      slice, plus the written register slice on a write.  Unchanged
+      slices stay verbatim, which equals the reference re-encoding because
+      every codec is an exact inverse on encoded images (ghost fields a
+      codec drops are not in the image to begin with). *)
+
+  type stepper = {
+    s_cfg : P.cfg;
+    s_wiring : Anonmem.Wiring.t;
+    n : int;
+    lw : int;
+    vw : int;
+    roff : int;  (** offset of the register slices *)
+    width : int;  (** state image plus [extra] trailing bytes *)
+    parent_key : Bytes.t;  (** the key being expanded; callers fill it *)
+    next_key : Bytes.t;  (** the successor written by {!step_key} *)
+    mutable parent_locals : P.local array;  (** [parent_key]'s decoded locals *)
+  }
+
+  (** A stepper for keys of [key_width cfg + extra] bytes; the [extra]
+      trailing bytes (the crash mask of {!Fault_explorer}) are copied from
+      [parent_key] to [next_key] verbatim. *)
+  let stepper ?(extra = 0) ~cfg ~wiring () =
+    let n = P.processors cfg and lw = P.local_width cfg in
+    let width = key_width cfg + extra in
+    {
+      s_cfg = cfg;
+      s_wiring = wiring;
+      n;
+      lw;
+      vw = P.value_width cfg;
+      roff = n * lw;
+      width;
+      parent_key = Bytes.make width '\000';
+      next_key = Bytes.make width '\000';
+      parent_locals = [||];
+    }
+
+  (** Decode the local slices of [s.parent_key]; call after refilling it. *)
+  let load_parent s =
+    if Array.length s.parent_locals = 0 then
+      s.parent_locals <-
+        Array.init s.n (fun p -> P.decode_local s.s_cfg s.parent_key (p * s.lw))
+    else
+      for p = 0 to s.n - 1 do
+        s.parent_locals.(p) <- P.decode_local s.s_cfg s.parent_key (p * s.lw)
+      done
+
+  (** [step_key s p] writes into [s.next_key] the key of the successor of the
+      loaded parent when [p] takes its pending step — the bytes of
+      [encode_state cfg (successor cfg wiring (decode_state cfg parent_key) p)]
+      — and returns [true]; it returns [false], writing nothing, when [p]
+      has halted. *)
+  let step_key s p =
+    let cfg = s.s_cfg and l = s.parent_locals.(p) in
+    match P.next cfg l with
+    | None -> false
+    | Some op ->
+        Bytes.blit s.parent_key 0 s.next_key 0 s.width;
+        (match op with
+        | Anonmem.Protocol.Read i ->
+            let r = Anonmem.Wiring.phys s.s_wiring ~p i in
+            let v = P.decode_value cfg s.parent_key (s.roff + (r * s.vw)) in
+            P.encode_local cfg (P.apply_read cfg l ~reg:i v) s.next_key (p * s.lw)
+        | Anonmem.Protocol.Write (i, v) ->
+            let r = Anonmem.Wiring.phys s.s_wiring ~p i in
+            P.encode_local cfg (P.apply_write cfg l) s.next_key (p * s.lw);
+            P.encode_value cfg v s.next_key (s.roff + (r * s.vw)));
+        true
+
+  (** Write the initial state's key into [next_key] (extra bytes zero). *)
+  let seed_init s ~inputs =
+    let image = encode_state s.s_cfg (init_state ~cfg:s.s_cfg ~inputs) in
+    Bytes.fill s.next_key 0 s.width '\000';
+    Bytes.blit_string image 0 s.next_key 0 (String.length image)
+
+  (** The key the engines intern for [next_key]: the buffer itself, or,
+      under a symmetry reduction, its orbit minimum written into [buf]
+      (a buffer of the same width, owned by the caller). *)
+  let canonical_next ?masked s canon buf =
+    match canon with
+    | None -> s.next_key
+    | Some c ->
+        Canon.canonicalize_into ?masked c s.next_key buf;
+        buf
 
   (** The symmetry group of [(cfg, wiring, inputs)]: processors in the same
       input class permute together with the induced register relabelling.
@@ -355,11 +471,6 @@ module Make (P : CHECKABLE) = struct
           go st' ((p, st') :: acc) rest
     in
     go (init_state ~cfg ~inputs) [] keys
-
-  (** Width of the encoded-state keys for [cfg]. *)
-  let key_width cfg =
-    (P.processors cfg * P.local_width cfg)
-    + (P.registers cfg * P.value_width cfg)
 
   type space = {
     cfg : P.cfg;
@@ -431,7 +542,8 @@ module Make (P : CHECKABLE) = struct
       it is discovered; the first failure aborts with a minimal-length
       counterexample trace.  [stop_expansion] (default: never) marks states
       whose successors should not be explored — used to bound protocols
-      with unbounded state.  [progress] is called every [2^20] states.
+      with unbounded state.  Both predicates see the decoded key, so they
+      must not read ghost fields a codec drops.  [progress] is called every [2^20] states.
       [reduction] explores the symmetry quotient instead (visited keys are
       canonical orbit minima); invariant and [stop_expansion] must then be
       symmetric predicates. *)
@@ -440,9 +552,10 @@ module Make (P : CHECKABLE) = struct
       ~inputs () =
     guard_processors ~engine:"Explorer.explore" (P.processors cfg);
     let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
-    let canonical key =
-      match canon with Some c -> Canon.canonicalize c key | None -> key
-    in
+    let ks = stepper ~cfg ~wiring () in
+    let cbuf = Bytes.create (key_width cfg) in
+    seed_init ks ~inputs;
+    let init_key = Bytes.to_string (canonical_next ks canon cbuf) in
     (* Fingerprint of everything the checkpoint's meaning depends on: the
        canonical initial key pins cfg and inputs, the wiring string pins
        the step relation.  A mismatched resume is a structured error, not
@@ -450,7 +563,7 @@ module Make (P : CHECKABLE) = struct
     let context =
       Fmt.str "bfs|%d|%a|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
         reduction
-        (canonical (encode_state cfg (init_state ~cfg ~inputs)))
+        init_key
     in
     let resumed =
       match ckpt with
@@ -503,19 +616,20 @@ module Make (P : CHECKABLE) = struct
         Queue.add id queue
       done;
     let violation = ref None in
-    let add_state st ~from =
-      let key = canonical (encode_state cfg st) in
+    (* Intern the successor in [ks.next_key] (canonicalized under
+       reduction).  The invariant sees the decoded key — under reduction
+       the orbit representative, on which symmetric invariants agree with
+       every member. *)
+    let add_next ~from =
+      let key = canonical_next ks canon cbuf in
       let before = State_table.length table in
-      let id = State_table.intern table key in
+      let id = State_table.intern_bytes table key in
       if id = before then begin
         (* fresh state *)
         ignore (State_table.Packed_vec.push parent (from + 1));
         (match invariant with
         | Some check -> (
-            (* check the representative: symmetric invariants have the
-               same verdict on every member of the orbit *)
-            let st = if canon = None then st else decode_state cfg key in
-            match check st with
+            match check (decode_bytes cfg key) with
             | Ok () -> ()
             | Error message ->
                 if !violation = None then violation := Some (id, message))
@@ -527,8 +641,9 @@ module Make (P : CHECKABLE) = struct
       end;
       id
     in
-    if resumed = None then
-      ignore (add_state (init_state ~cfg ~inputs) ~from:(-1));
+    (* [next_key] still holds the initial state *)
+    if resumed = None then ignore (add_next ~from:(-1));
+    let n = P.processors cfg in
     let limit_hit = ref false in
     let exhausted = ref None in
     while
@@ -554,25 +669,27 @@ module Make (P : CHECKABLE) = struct
       | None -> ());
       if !exhausted = None then begin
       let id = Queue.pop queue in
-      let st = decode_state cfg (State_table.key_of_id table id) in
+      State_table.blit_key table id ks.parent_key;
+      load_parent ks;
       let expand =
-        match stop_expansion with Some f -> not (f st) | None -> true
+        match stop_expansion with
+        | Some f -> not (f (decode_bytes cfg ks.parent_key))
+        | None -> true
       in
       let edges_before = State_table.Packed_vec.length succ in
       if expand then begin
-        match enabled cfg st with
-        | [] -> terminal := id :: !terminal
-        | en ->
-            List.iter
-              (fun p ->
-                if State_table.length table >= max_states then
-                  limit_hit := true
-                else begin
-                  let st' = successor cfg wiring st p in
-                  let id' = add_state st' ~from:((id lsl 4) lor p) in
-                  ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
-                end)
-              en
+        let any_enabled = ref false in
+        for p = 0 to n - 1 do
+          if step_key ks p then begin
+            any_enabled := true;
+            if State_table.length table >= max_states then limit_hit := true
+            else begin
+              let id' = add_next ~from:((id lsl 4) lor p) in
+              ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
+            end
+          end
+        done;
+        if not !any_enabled then terminal := id :: !terminal
       end;
       (* Pops happen in id order, so this row is deg.(id); a violation or
          state limit leaves deg shorter than the table — the CSR builder
@@ -720,14 +837,22 @@ module Make (P : CHECKABLE) = struct
     done;
     !result
 
+  (** Whether [space] is a proper symmetry quotient.  A space explored
+      with [~reduction] under a trivial group (e.g. distinct inputs) is
+      the unreduced space itself, key for key and id for id. *)
+  let is_quotient space =
+    match space.reduction with
+    | Some c -> not (Canon.is_trivial c)
+    | None -> false
+
   (** A concrete lasso witnessing a fair SCC on an {e unreduced} space:
       the stem reaches [entry] and the returned pid sequence cycles back
       to [entry] while stepping every processor in [live] at least once.
-      Raises [Invalid_argument] on a reduced space (detect on the
-      quotient, then re-explore unreduced to extract the witness). *)
+      Raises [Invalid_argument] on a proper quotient ({!is_quotient}:
+      detect on the quotient, then re-explore unreduced to extract the
+      witness). *)
   let fair_cycle_witness space ~entry ~live =
-    if space.reduction <> None then
-      invalid_arg "fair_cycle_witness: reduced space";
+    if is_quotient space then invalid_arg "fair_cycle_witness: reduced space";
     let off = csr_offsets space in
     let comp, _ = scc_ids space in
     let c = comp.(entry) in
@@ -844,6 +969,15 @@ module Make (P : CHECKABLE) = struct
         (** a resource governor tripped mid-search; resumable when a
             checkpoint policy was in force *)
 
+  (* One frame of the DFS path: the state, the pid of the step that
+     entered it, the next processor to try, and whether any was enabled. *)
+  type frame = {
+    fid : int;
+    entered_by : int;
+    mutable next_p : int;
+    mutable any_enabled : bool;
+  }
+
   (** [fail_on_cycle] (default true) reports the first cycle as a
       wait-freedom violation; pass [false] for protocols that are only
       obstruction-free (e.g. consensus), where cycles are expected and only
@@ -855,13 +989,14 @@ module Make (P : CHECKABLE) = struct
       ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
     let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
-    let canonical key =
-      match canon with Some c -> Canon.canonicalize c key | None -> key
-    in
+    let ks = stepper ~cfg ~wiring () in
+    let cbuf = Bytes.create (key_width cfg) in
+    seed_init ks ~inputs;
+    let init_key = Bytes.to_string (canonical_next ks canon cbuf) in
     let context =
       Fmt.str "dfs|%d|%a|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
         reduction fail_on_cycle
-        (canonical (encode_state cfg (init_state ~cfg ~inputs)))
+        init_key
     in
     let resumed =
       match ckpt with
@@ -882,7 +1017,7 @@ module Make (P : CHECKABLE) = struct
             State_table.Packed_vec.deserialize
               (Checkpoint.find "colors" sections) )
       | None ->
-          ( State_table.create ~log2_slots:20 ~key_width:(key_width cfg) (),
+          ( State_table.create ~log2_slots:16 ~key_width:(key_width cfg) (),
             State_table.Packed_vec.create ~stride:1 () )
     in
     (* 1 = gray (on the DFS path), 2 = black (done) *)
@@ -897,9 +1032,8 @@ module Make (P : CHECKABLE) = struct
       }
     in
     let outcome = ref None in
-    (* Frames: (id, key, pid of the step that entered this frame, next
-       processor index to try).  The decoded state is rebuilt per
-       successor; keeping it would bloat the path. *)
+    (* The path, deepest frame first.  Keys live in the table arena only;
+       the stepper holds the decoded top frame ([loaded] is its id). *)
     let stack = ref [] and depth = ref 0 in
     (match resumed with
     | Some sections ->
@@ -911,16 +1045,20 @@ module Make (P : CHECKABLE) = struct
             (Checkpoint.Corrupt_checkpoint
                "Explorer.check_exhaustive: frame section not a multiple of 4 \
                 ints");
-        (* Stored bottom-to-top; consing rebuilds head = deepest frame.
-           Keys are recovered from the table arena, not stored twice. *)
+        (* Stored bottom-to-top; consing rebuilds head = deepest frame. *)
         for i = 0 to (Array.length frames / 4) - 1 do
-          let id = frames.(4 * i) in
+          let fid = frames.(4 * i) in
+          if fid < 0 || fid >= State_table.length table then
+            raise
+              (Checkpoint.Corrupt_checkpoint
+                 "Explorer.check_exhaustive: frame id outside the table");
           stack :=
-            ( id,
-              State_table.key_of_id table id,
-              frames.((4 * i) + 1),
-              ref frames.((4 * i) + 2),
-              ref (frames.((4 * i) + 3) = 1) )
+            {
+              fid;
+              entered_by = frames.((4 * i) + 1);
+              next_p = frames.((4 * i) + 2);
+              any_enabled = frames.((4 * i) + 3) = 1;
+            }
             :: !stack
         done;
         let counters =
@@ -938,8 +1076,8 @@ module Make (P : CHECKABLE) = struct
     let save_ckpt path =
       let frames =
         List.rev !stack
-        |> List.concat_map (fun (id, _, entered_by, next_p, any_enabled) ->
-               [ id; entered_by; !next_p; (if !any_enabled then 1 else 0) ])
+        |> List.concat_map (fun f ->
+               [ f.fid; f.entered_by; f.next_p; (if f.any_enabled then 1 else 0) ])
         |> Array.of_list
       in
       Checkpoint.save ~path
@@ -954,25 +1092,36 @@ module Make (P : CHECKABLE) = struct
          ]
         @ ckpt_extra)
     in
-    (* Only called for keys [probe]d absent, so [intern] always inserts and
-       the returned id equals the colors index pushed alongside. *)
-    let add_state key ~entered_by st =
-      let id = State_table.intern table key in
+    let loaded = ref (-1) in
+    (* The reference successor a violation is reported on: the boxed
+       state the key was computed from (codecs may drop ghost fields, so
+       the decoded key is not always that state). *)
+    let reference_state ~entered_by =
+      if entered_by < 0 then init_state ~cfg ~inputs
+      else successor cfg wiring (decode_bytes cfg ks.parent_key) entered_by
+    in
+    (* Called right after [intern_bytes] inserted [key] as [id], so the
+       id equals the colors index pushed alongside. *)
+    let add_state key id ~entered_by =
       ignore (State_table.Packed_vec.push colors 1);
       (match progress with
       | Some f when id land ((1 lsl 20) - 1) = 0 -> f id
       | _ -> ());
       (match invariant with
       | Some check -> (
-          match check st with
+          match check (decode_bytes cfg key) with
           | Ok () -> ()
           | Error message ->
               if !outcome = None then
+                let st = reference_state ~entered_by in
+                let message =
+                  match check st with Error m -> m | Ok () -> message
+                in
                 let record =
                   match canon with
                   | None ->
                       let path =
-                        (List.rev_map (fun (_, _, pid, _, _) -> pid) !stack
+                        (List.rev_map (fun f -> f.entered_by) !stack
                         |> List.filter (fun pid -> pid >= 0))
                         @ (if entered_by >= 0 then [ entered_by ] else [])
                       in
@@ -980,9 +1129,14 @@ module Make (P : CHECKABLE) = struct
                         { message; state = st; path; stats = stats () }
                   | Some c ->
                       let keys =
-                        match List.rev_map (fun (_, k, _, _, _) -> k) !stack with
+                        match
+                          List.rev_map
+                            (fun f -> State_table.key_of_id table f.fid)
+                            !stack
+                        with
                         | [] -> []  (* violation at the initial state *)
-                        | _root :: ancestors -> ancestors @ [ key ]
+                        | _root :: ancestors ->
+                            ancestors @ [ State_table.key_of_id table id ]
                       in
                       let steps = concretize ~cfg ~wiring ~canon:c ~inputs keys in
                       let state =
@@ -998,15 +1152,15 @@ module Make (P : CHECKABLE) = struct
                 in
                 outcome := Some record)
       | None -> ());
-      stack := (id, key, entered_by, ref 0, ref false) :: !stack;
+      stack := { fid = id; entered_by; next_p = 0; any_enabled = false } :: !stack;
       incr depth;
-      if !depth > !max_depth then max_depth := !depth;
-      id
+      if !depth > !max_depth then max_depth := !depth
     in
-    (if resumed = None then
-       let init = init_state ~cfg ~inputs in
-       let key0 = canonical (encode_state cfg init) in
-       ignore (add_state key0 ~entered_by:(-1) init));
+    (* [next_key] still holds the initial state *)
+    if resumed = None then begin
+      let key0 = canonical_next ks canon cbuf in
+      add_state key0 (State_table.intern_bytes table key0) ~entered_by:(-1)
+    end;
     let limit = ref false in
     let exhausted = ref None in
     let ticks = ref 0 in
@@ -1032,55 +1186,67 @@ module Make (P : CHECKABLE) = struct
       if !exhausted = None then begin
       match !stack with
       | [] -> ()
-      | (id, key, _, next_p, any_enabled) :: rest ->
-          (if !next_p = 0 then
+      | top :: rest ->
+          if !loaded <> top.fid then begin
+            State_table.blit_key table top.fid ks.parent_key;
+            load_parent ks;
+            loaded := top.fid
+          end;
+          (if top.next_p = 0 then
              match stop_expansion with
-             | Some f when f (decode_state cfg key) ->
+             | Some f when f (decode_bytes cfg ks.parent_key) ->
                  (* bounded leaf: skip successors; not a terminal state *)
-                 next_p := n;
-                 any_enabled := true
+                 top.next_p <- n;
+                 top.any_enabled <- true
              | _ -> ());
-          if !next_p >= n then begin
-            if not !any_enabled then incr terminals;
-            State_table.Packed_vec.set colors id 2;
+          if top.next_p >= n then begin
+            if not top.any_enabled then incr terminals;
+            State_table.Packed_vec.set colors top.fid 2;
             stack := rest;
             decr depth
           end
           else begin
-            let p = !next_p in
-            incr next_p;
-            let st = decode_state cfg key in
-            if P.next cfg st.locals.(p) <> None then begin
-              any_enabled := true;
+            let p = top.next_p in
+            top.next_p <- p + 1;
+            if step_key ks p then begin
+              top.any_enabled <- true;
               incr transitions;
-              let st' = successor cfg wiring st p in
-              let key' = canonical (encode_state cfg st') in
-              match State_table.find table key' with
-              | None ->
-                  if State_table.length table >= max_states then limit := true
-                  else ignore (add_state key' ~entered_by:p st')
-              | Some id' ->
-                  if
-                    fail_on_cycle
-                    && State_table.Packed_vec.get colors id' = 1
-                  then begin
-                    (* back edge: a cycle through id'.  Collect the pids of
-                       the path segment from id' to here, plus p. *)
-                    let rec collect acc = function
-                      | (fid, _, entered_by, _, _) :: rest ->
-                          if fid = id' then acc
-                          else collect (entered_by :: acc) rest
-                      | [] -> acc
-                    in
-                    let pids = p :: collect [] !stack in
-                    outcome :=
-                      Some
-                        (Dfs_cycle
-                           {
-                             processors = List.sort_uniq compare pids;
-                             stats = stats ();
-                           })
-                  end
+              let key' = canonical_next ks canon cbuf in
+              let before = State_table.length table in
+              (* Below the cap, one [intern_bytes] both probes and inserts;
+                 at the cap only a probe may run. *)
+              let id' =
+                if before < max_states then State_table.intern_bytes table key'
+                else
+                  match State_table.find_bytes table key' with
+                  | Some id' -> id'
+                  | None ->
+                      limit := true;
+                      -1
+              in
+              if id' = before then add_state key' id' ~entered_by:p
+              else if id' >= 0 then
+                if
+                  fail_on_cycle
+                  && State_table.Packed_vec.get colors id' = 1
+                then begin
+                  (* back edge: a cycle through id'.  Collect the pids of
+                     the path segment from id' to here, plus p. *)
+                  let rec collect acc = function
+                    | f :: rest ->
+                        if f.fid = id' then acc
+                        else collect (f.entered_by :: acc) rest
+                    | [] -> acc
+                  in
+                  let pids = p :: collect [] !stack in
+                  outcome :=
+                    Some
+                      (Dfs_cycle
+                         {
+                           processors = List.sort_uniq compare pids;
+                           stats = stats ();
+                         })
+                end
             end
           end
       end
@@ -1186,14 +1352,15 @@ module Make (P : CHECKABLE) = struct
       ?(batch_states = 1 lsl 20) ?spill_dir ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
     let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
-    let canonical key =
-      match canon with Some c -> Canon.canonicalize c key | None -> key
-    in
+    let ks = stepper ~cfg ~wiring () in
+    let cbuf = Bytes.create (key_width cfg) in
+    seed_init ks ~inputs;
+    let init_key = Bytes.to_string (canonical_next ks canon cbuf) in
     let kw = key_width cfg in
     let context =
       Fmt.str "fpbfs|%d|%a|%b|%d|%S" kw Anonmem.Wiring.pp wiring reduction
         ram_budget_bytes
-        (canonical (encode_state cfg (init_state ~cfg ~inputs)))
+        init_key
     in
     (* Spill runs must live next to the checkpoint when there is one: a
        resumed run re-opens them by manifest. *)
@@ -1285,6 +1452,7 @@ module Make (P : CHECKABLE) = struct
       | _ -> ()
     in
     let limit = ref false in
+    let n = P.processors cfg in
     let cands = ref [] and ncands = ref 0 in
     (* Probe a batch: fresh keys are counted, invariant-checked on their
        decoded representative, and queued for the next layer. *)
@@ -1316,17 +1484,16 @@ module Make (P : CHECKABLE) = struct
     in
     let exhausted = ref None in
     (if resumed = None then
-       let key0 = canonical (encode_state cfg (init_state ~cfg ~inputs)) in
-       let fresh = Fingerprint_set.add_batch fps [| key0 |] in
+       let fresh = Fingerprint_set.add_batch fps [| init_key |] in
        assert fresh.(0);
        states := 1;
        (match invariant with
        | Some check -> (
-           match check (decode_state cfg key0) with
+           match check (decode_state cfg init_key) with
            | Ok () -> ()
            | Error message -> violation := Some message)
        | None -> ());
-       cur := [ key0 ]);
+       cur := [ init_key ]);
     let running = ref (!violation = None) in
     while !running do
       (* Consume the current layer, batching candidate successors. *)
@@ -1345,21 +1512,26 @@ module Make (P : CHECKABLE) = struct
           | key :: rest ->
               cur := rest;
               incr expanded;
-              let st = decode_state cfg key in
+              Bytes.blit_string key 0 ks.parent_key 0 kw;
+              load_parent ks;
               let expand =
-                match stop_expansion with Some f -> not (f st) | None -> true
+                match stop_expansion with
+                | Some f -> not (f (decode_bytes cfg ks.parent_key))
+                | None -> true
               in
               if expand then begin
-                match enabled cfg st with
-                | [] -> incr terminals
-                | en ->
-                    List.iter
-                      (fun p ->
-                        let st' = successor cfg wiring st p in
-                        incr transitions;
-                        cands := canonical (encode_state cfg st') :: !cands;
-                        incr ncands)
-                      en
+                let any_enabled = ref false in
+                for p = 0 to n - 1 do
+                  if step_key ks p then begin
+                    any_enabled := true;
+                    incr transitions;
+                    (* the batch keeps the key: its one copy *)
+                    let key' = canonical_next ks canon cbuf in
+                    cands := Bytes.to_string key' :: !cands;
+                    incr ncands
+                  end
+                done;
+                if not !any_enabled then incr terminals
               end;
               if !ncands >= batch_states then begin
                 flush ();

@@ -79,21 +79,21 @@ module Make (P : Explorer.CHECKABLE) = struct
     let raw_key st mask =
       E.encode_state cfg st ^ String.make 1 (Char.chr mask)
     in
-    let key_of st mask =
-      let raw = raw_key st mask in
-      (* Crash masks canonicalize with their processors: the automorphism
-         permuting the local-state slices permutes the mask bits too, so a
-         crashed processor's identity follows its slice into the orbit
-         minimum. *)
-      match canon with
-      | Some c -> Canon.canonicalize_masked c raw
-      | None -> raw
-    in
+    (* The key step writes (core image, mask) successors into [ks]; the
+       mask byte rides after the state image, where [step_key] copies it
+       verbatim.  Crash masks canonicalize with their processors: the
+       automorphism permuting the local-state slices permutes the mask
+       bits too, so a crashed processor's identity follows its slice into
+       the orbit minimum. *)
+    let kw = E.key_width cfg in
+    let ks = E.stepper ~extra:1 ~cfg ~wiring () in
+    let cbuf = Bytes.create (kw + 1) in
+    let canonical_next () = E.canonical_next ~masked:true ks canon cbuf in
+    E.seed_init ks ~inputs;
     let context =
-      Fmt.str "fault|%d|%d|%a|%b|%S"
-        (E.key_width cfg + 1)
-        max_crashes Anonmem.Wiring.pp wiring reduction
-        (key_of (E.init_state ~cfg ~inputs) 0)
+      Fmt.str "fault|%d|%d|%a|%b|%S" (kw + 1) max_crashes Anonmem.Wiring.pp
+        wiring reduction
+        (Bytes.to_string (canonical_next ()))
     in
     let resumed =
       match ckpt with
@@ -158,21 +158,19 @@ module Make (P : Explorer.CHECKABLE) = struct
       let mask = Char.code key.[String.length key - 1] in
       (E.decode_state cfg core, mask)
     in
-    let add_state st mask ~from =
-      let key = key_of st mask in
+    let add_next ~from =
+      let key = canonical_next () in
       let before = State_table.length table in
-      let id = State_table.intern table key in
+      let id = State_table.intern_bytes table key in
       if id = before then begin
         (* fresh (core state, crashed set) pair *)
         ignore (State_table.Packed_vec.push parent (from + 1));
-        (let st = if canon = None then st else fst (decode key) in
-         match invariant st with
-         | Ok () -> ()
-         | Error message ->
-             if !violation = None then violation := Some (id, message));
+        (match invariant (E.decode_bytes cfg key) with
+        | Ok () -> ()
+        | Error message ->
+            if !violation = None then violation := Some (id, message));
         Queue.add id queue
-      end;
-      id
+      end
     in
     let parent_packed id = State_table.Packed_vec.get parent id - 1 in
     let steps_to id =
@@ -234,8 +232,8 @@ module Make (P : Explorer.CHECKABLE) = struct
       in
       go (E.init_state ~cfg ~inputs) 0 [] chain
     in
-    if resumed = None then
-      ignore (add_state (E.init_state ~cfg ~inputs) 0 ~from:(-1));
+    (* [next_key] still holds the initial state *)
+    if resumed = None then add_next ~from:(-1);
     let limit_hit = ref false in
     let exhausted = ref None in
     while
@@ -259,30 +257,34 @@ module Make (P : Explorer.CHECKABLE) = struct
       | None -> ());
       if !exhausted = None then begin
       let id = Queue.pop queue in
-      let st, mask = decode (State_table.key_of_id table id) in
-      let live =
-        List.filter (fun p -> mask land (1 lsl p) = 0) (E.enabled cfg st)
-      in
+      State_table.blit_key table id ks.E.parent_key;
+      E.load_parent ks;
+      let mask = Char.code (Bytes.get ks.E.parent_key kw) in
       let budget = max_crashes - popcount mask in
-      let expand_one ~crash p =
-        if State_table.length table >= max_states then limit_hit := true
-        else begin
-          incr transitions;
-          let st', mask' =
-            if crash then begin
+      (* Protocol steps of the live (enabled, uncrashed) processors, then
+         their crash branches — a crash of a halted processor changes
+         nothing observable. *)
+      for p = 0 to n - 1 do
+        if mask land (1 lsl p) = 0 && E.step_key ks p then
+          if State_table.length table >= max_states then limit_hit := true
+          else begin
+            incr transitions;
+            add_next ~from:((id lsl 5) lor p)
+          end
+      done;
+      if budget > 0 then
+        for p = 0 to n - 1 do
+          if mask land (1 lsl p) = 0 && P.next cfg ks.E.parent_locals.(p) <> None
+          then
+            if State_table.length table >= max_states then limit_hit := true
+            else begin
+              incr transitions;
               incr crash_branches;
-              (st, mask lor (1 lsl p))
+              Bytes.blit ks.E.parent_key 0 ks.E.next_key 0 (kw + 1);
+              Bytes.set ks.E.next_key kw (Char.chr (mask lor (1 lsl p)));
+              add_next ~from:((id lsl 5) lor 16 lor p)
             end
-            else (E.successor cfg wiring st p, mask)
-          in
-          let tag = (id lsl 5) lor (if crash then 16 else 0) lor p in
-          ignore (add_state st' mask' ~from:tag)
-        end
-      in
-      List.iter (expand_one ~crash:false) live;
-      (* Crash branches: only live (enabled, uncrashed) processors — a
-         crash of a halted processor changes nothing observable. *)
-      if budget > 0 then List.iter (expand_one ~crash:true) live;
+        done;
       incr pops
       end
     done;

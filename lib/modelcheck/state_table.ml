@@ -3,127 +3,165 @@
 
      arena : Bytes.t     all interned keys, back to back; key [id] is the
                          [key_width] bytes at offset [id * key_width]
-     slots : Bytes.t     capacity * 4 bytes, little-endian u32 per slot,
-                         storing id + 1 so that all-zero = empty (which is
-                         what [Bytes.make _ '\000'] gives us for free)
-     tags  : Bytes.t     capacity * 1 byte: bits 55..62 of the key's hash,
-                         disjoint from the low bits that select the slot,
-                         so a tag mismatch rejects a colliding key without
-                         reading the arena
+     slots : Bytes.t     capacity * 8 bytes, one little-endian slot word
+                         per slot: [(tag lsl 32) lor (id + 1)], so that
+                         all-zero = empty (which is what
+                         [Bytes.make _ '\000'] gives us for free)
 
-   Probing is linear (step 1).  With power-of-two capacities, load kept
-   at or below 3/4 and an 8-bit tag filter, the expected number of arena
-   comparisons per lookup stays within a few percent of one. *)
+   [tag] is the upper 31 bits of the key's 63-bit hash, and a key's home
+   slot is the top [log2 capacity] bits of that tag.  A tag mismatch
+   rejects a colliding key without reading the arena, and growth re-places
+   every slot word from the word alone.  A [Bytes] buffer holds no
+   pointers, so the GC never scans the slots or the arena.
+
+   Probing is linear (step 1).  With power-of-two capacities and load
+   kept at or below 3/4, the expected number of arena comparisons per
+   lookup stays within a few percent of one. *)
 
 type t = {
   key_width : int;
   mutable arena : Bytes.t; (* count * key_width bytes in use *)
   mutable count : int;
-  mutable slots : Bytes.t; (* 4 bytes per slot, u32 LE, id + 1; 0 = empty *)
-  mutable tags : Bytes.t; (* 1 byte per slot, valid iff slot nonzero *)
-  mutable mask : int; (* capacity - 1 *)
+  mutable slots : Bytes.t; (* 8 bytes per slot, (tag lsl 32) lor (id + 1) *)
+  mutable log2 : int; (* capacity = 2^log2 *)
 }
 
-(* 64-bit FNV-1a, folded into OCaml's 63-bit nonnegative int range.  The
-   canonical offset basis 0xcbf29ce484222325 exceeds max_int on 64-bit
-   OCaml, so we start from its value mod 2^63; multiplication already
-   happens mod 2^63 in native ints, and the final [land max_int] keeps the
-   result nonnegative after the sign bit is discarded. *)
-let fnv_offset = 0x4bf29ce484222325
-let fnv_prime = 0x100000001b3
+(* Keys are hashed eight bytes at a time: multiply-xor over the 64-bit
+   little-endian words (the top bit of each word, which [Int64.to_int]
+   drops, is folded in separately), the tail bytes as one more word, and
+   a final avalanche so the top bits — which pick the home slot — depend
+   on every key byte.  All arithmetic is in OCaml's 63-bit ints, so every
+   result bit is live. *)
+let k1 = 0x2545F4914F6CDD1D
+let k2 = 0x1CE4E5B9BF58476D
 
-let hash key =
-  let h = ref fnv_offset in
-  for i = 0 to String.length key - 1 do
-    h := (!h lxor Char.code (String.unsafe_get key i)) * fnv_prime
+let hash_sub b off w =
+  let h = ref (w * k2) in
+  let i = ref 0 in
+  while !i + 8 <= w do
+    let v = Bytes.get_int64_le b (off + !i) in
+    h :=
+      ((!h lxor Int64.to_int v) * k1)
+      + Int64.to_int (Int64.shift_right_logical v 63);
+    i := !i + 8
   done;
-  !h land max_int
+  if !i < w then begin
+    let x = ref 0 in
+    for j = w - 1 downto !i do
+      x := (!x lsl 8) lor Char.code (Bytes.get b (off + j))
+    done;
+    h := (!h lxor !x) * k1
+  end;
+  let h = !h in
+  let h = (h lxor (h lsr 31)) * k2 in
+  h lxor (h lsr 29)
 
-let tag_of_hash h = (h lsr 55) land 0xff
+let hash key = hash_sub (Bytes.unsafe_of_string key) 0 (String.length key)
+
+(* Tags are 31 bits, so capacities stop at 2^31 slots, and the 3/4 load
+   bound caps the key count at [max_count], well below the 2^32 - 1 ids
+   a slot word holds. *)
+let tag_bits = 31
+let max_count = 3 lsl (tag_bits - 2)
+let tag h = h lsr 32
+
+let slot_index ~capacity h =
+  if capacity < 1 || capacity > 1 lsl tag_bits then
+    invalid_arg "State_table.slot_index: capacity outside [1..2^31]";
+  let rec log2 k = if 1 lsl k >= capacity then k else log2 (k + 1) in
+  tag h lsr (tag_bits - log2 0)
 
 let create ?(log2_slots = 12) ~key_width () =
   if key_width < 0 then invalid_arg "State_table.create: negative key_width";
-  let log2 = max 3 log2_slots in
-  let cap = 1 lsl log2 in
+  let log2 = min tag_bits (max 3 log2_slots) in
   {
     key_width;
     arena = Bytes.create (max 64 (64 * key_width));
     count = 0;
-    slots = Bytes.make (4 * cap) '\000';
-    tags = Bytes.create cap;
-    mask = cap - 1;
+    slots = Bytes.make (8 lsl log2) '\000';
+    log2;
   }
 
 let key_width t = t.key_width
 let length t = t.count
-let capacity t = t.mask + 1
+let capacity t = 1 lsl t.log2
 
-let slot_get t i =
-  (* [Bytes.get_int32_le] sign-extends via Int32, hence the mask. *)
-  Int32.to_int (Bytes.get_int32_le t.slots (4 * i)) land 0xFFFFFFFF
+let slot_get slots i = Int64.to_int (Bytes.get_int64_le slots (8 * i))
+let slot_set slots i w = Bytes.set_int64_le slots (8 * i) (Int64.of_int w)
 
-let slot_set t i v = Bytes.set_int32_le t.slots (4 * i) (Int32.of_int v)
+(* Keys are compared against the arena without materializing a string,
+   eight bytes at a time: bytes [i..w) of [b] against the arena from
+   [off + i].  The loops are top-level functions, not closures, so the
+   hot path allocates nothing. *)
+let rec equal_from a off b w i =
+  if i + 8 <= w then
+    Int64.equal (Bytes.get_int64_le a (off + i)) (Bytes.get_int64_le b i)
+    && equal_from a off b w (i + 8)
+  else
+    i = w
+    || Char.equal (Bytes.unsafe_get a (off + i)) (Bytes.unsafe_get b i)
+       && equal_from a off b w (i + 1)
 
-(* Keys are compared against the arena without materializing a string. *)
-let arena_equals t id key =
-  let off = id * t.key_width in
-  let rec go i =
-    i = t.key_width
-    || Char.equal (Bytes.unsafe_get t.arena (off + i)) (String.unsafe_get key i)
-       && go (i + 1)
-  in
-  go 0
+(* Walk the probe sequence from slot [i] for the key in [b] with tag
+   [tg].  Returns the id if present, [lnot slot_index] of the first empty
+   slot if absent — an int encoding rather than a variant so the hot path
+   stays allocation-free. *)
+let rec probe_from t b tg mask i =
+  let s = slot_get t.slots i in
+  if s = 0 then lnot i
+  else
+    let id = (s land 0xFFFF_FFFF) - 1 in
+    if s lsr 32 = tg && equal_from t.arena (id * t.key_width) b t.key_width 0
+    then id
+    else probe_from t b tg mask ((i + 1) land mask)
 
-(* Find the slot holding [key], or the first empty slot of its probe
-   sequence.  Returns the id if present, [lnot slot_index] if absent —
-   an int encoding rather than a variant so the hot path stays
-   allocation-free. *)
-let probe t key h =
-  let tag = tag_of_hash h in
-  let rec go i =
-    let s = slot_get t i in
-    if s = 0 then lnot i
-    else
-      let id = s - 1 in
-      if Char.code (Bytes.unsafe_get t.tags i) = tag && arena_equals t id key
-      then id
-      else go ((i + 1) land t.mask)
-  in
-  go (h land t.mask)
+let probe t b h =
+  let tg = tag h in
+  probe_from t b tg ((1 lsl t.log2) - 1) (tg lsr (tag_bits - t.log2))
 
-let check_width t key name =
-  if String.length key <> t.key_width then
+let check_width t b name =
+  if Bytes.length b <> t.key_width then
     invalid_arg
       (Printf.sprintf "State_table.%s: key of width %d, table of width %d" name
-         (String.length key) t.key_width)
+         (Bytes.length b) t.key_width)
 
-let key_of_id t id =
+let check_id t id name =
   if id < 0 || id >= t.count then
     invalid_arg
-      (Printf.sprintf "State_table.key_of_id: id %d outside [0..%d]" id
-         (t.count - 1));
+      (Printf.sprintf "State_table.%s: id %d outside [0..%d]" name id
+         (t.count - 1))
+
+let key_of_id t id =
+  check_id t id "key_of_id";
   Bytes.sub_string t.arena (id * t.key_width) t.key_width
+
+let blit_key t id dst =
+  check_id t id "blit_key";
+  Bytes.blit t.arena (id * t.key_width) dst 0 t.key_width
 
 let iter f t =
   for id = 0 to t.count - 1 do
     f id (Bytes.sub_string t.arena (id * t.key_width) t.key_width)
   done
 
-(* Double the slot array, re-deriving each key's hash from the arena.
-   Insertion order (hence every dense id) is untouched. *)
+(* Place a slot word at the first free slot of its probe sequence. *)
+let rec free_from slots mask i =
+  if slot_get slots i = 0 then i else free_from slots mask ((i + 1) land mask)
+
+let place slots log2 w =
+  let home = (w lsr 32) lsr (tag_bits - log2) in
+  slot_set slots (free_from slots ((1 lsl log2) - 1) home) w
+
+(* Double the slot array, re-placing each slot word from its own tag bits:
+   the arena is neither read nor re-hashed.  Insertion order (hence every
+   dense id) is untouched. *)
 let grow_slots t =
-  let cap = 2 * (t.mask + 1) in
-  t.slots <- Bytes.make (4 * cap) '\000';
-  t.tags <- Bytes.create cap;
-  t.mask <- cap - 1;
-  let buf = Bytes.create t.key_width in
-  for id = 0 to t.count - 1 do
-    Bytes.blit t.arena (id * t.key_width) buf 0 t.key_width;
-    let h = hash (Bytes.unsafe_to_string buf) in
-    let rec free i = if slot_get t i = 0 then i else free ((i + 1) land t.mask) in
-    let i = free (h land t.mask) in
-    slot_set t i (id + 1);
-    Bytes.set t.tags i (Char.chr (tag_of_hash h))
+  let old = t.slots and cap = 1 lsl t.log2 in
+  t.log2 <- t.log2 + 1;
+  t.slots <- Bytes.make (8 lsl t.log2) '\000';
+  for i = 0 to cap - 1 do
+    let w = slot_get old i in
+    if w <> 0 then place t.slots t.log2 w
   done
 
 let ensure_arena t =
@@ -135,48 +173,45 @@ let ensure_arena t =
     t.arena <- arena
   end
 
-let max_id = 0xFFFF_FFFE (* slots store id + 1 in a u32 *)
-
-let intern t key =
-  check_width t key "intern";
-  let h = hash key in
-  let r = probe t key h in
+let intern_bytes t b =
+  check_width t b "intern";
+  let h = hash_sub b 0 t.key_width in
+  let r = probe t b h in
   if r >= 0 then r
   else begin
-    if t.count > max_id then
-      invalid_arg "State_table.intern: table full (2^32 - 1 keys)";
+    if t.count >= max_count then
+      invalid_arg "State_table.intern: table full (3 * 2^29 keys)";
     let id = t.count in
     ensure_arena t;
-    Bytes.blit_string key 0 t.arena (id * t.key_width) t.key_width;
+    Bytes.blit b 0 t.arena (id * t.key_width) t.key_width;
     t.count <- id + 1;
-    let i = lnot r in
-    slot_set t i (id + 1);
-    Bytes.set t.tags i (Char.chr (tag_of_hash h));
-    (* Grow at 3/4 load, after insertion so [i] was still valid. *)
-    if 4 * t.count >= 3 * (t.mask + 1) then grow_slots t;
+    slot_set t.slots (lnot r) ((tag h lsl 32) lor (id + 1));
+    (* Grow at 3/4 load, after insertion so the slot was still valid. *)
+    if 4 * t.count >= 3 lsl t.log2 && t.log2 < tag_bits then grow_slots t;
     id
   end
 
-let find t key =
-  check_width t key "find";
-  let r = probe t key (hash key) in
+let intern t key = intern_bytes t (Bytes.unsafe_of_string key)
+
+let find_bytes t b =
+  check_width t b "find";
+  let r = probe t b (hash_sub b 0 t.key_width) in
   if r >= 0 then Some r else None
 
-let mem t key =
-  check_width t key "mem";
-  probe t key (hash key) >= 0
+let find t key = find_bytes t (Bytes.unsafe_of_string key)
+let mem t key = find t key <> None
 
 let words t =
   (* Bytes payloads round up to whole words, plus a 1-word header each;
-     the record itself is 7 fields + header. *)
+     the record itself is 5 fields + header. *)
   let bytes_words b = 2 + (Bytes.length b / (Sys.word_size / 8)) in
-  8 + bytes_words t.arena + bytes_words t.slots + bytes_words t.tags
+  6 + bytes_words t.arena + bytes_words t.slots
 
 (* --- checkpoint (de)serialization -------------------------------------
    The arena is the whole truth: dense ids are insertion order, and the
-   slot/tag arrays are a pure function of the interned keys.  So the
-   image is a small header plus a blit of the used arena prefix, and
-   [deserialize] rebuilds the slots exactly as [grow_slots] does —
+   slot words are a pure function of the interned keys.  So the image is
+   a small header plus a blit of the used arena prefix, and
+   [deserialize] re-hashes the arena once to rebuild the slots —
    membership, ids, [key_of_id] and iteration order all come back
    bit-identical. *)
 
@@ -203,7 +238,7 @@ let deserialize b =
   let key_width = Int64.to_int (Bytes.get_int64_le b 8) in
   let count = Int64.to_int (Bytes.get_int64_le b 16) in
   let crc = Int64.to_int (Bytes.get_int64_le b 24) in
-  if key_width < 0 || count < 0 || count > max_id + 1 then
+  if key_width < 0 || count < 0 || count > max_count then
     corrupt "State_table image has implausible header (width %d, count %d)"
       key_width count;
   let used = count * key_width in
@@ -214,19 +249,14 @@ let deserialize b =
     corrupt "State_table arena checksum mismatch";
   (* Slot capacity: smallest power of two keeping load under 3/4. *)
   let log2 = ref 3 in
-  while 4 * count >= 3 * (1 lsl !log2) do incr log2 done;
+  while 4 * count >= 3 * (1 lsl !log2) && !log2 < tag_bits do incr log2 done;
   let t = create ~log2_slots:!log2 ~key_width () in
   t.arena <- Bytes.create (max 64 (max used (64 * key_width)));
   Bytes.blit b 32 t.arena 0 used;
   t.count <- count;
-  let buf = Bytes.create key_width in
   for id = 0 to count - 1 do
-    Bytes.blit t.arena (id * key_width) buf 0 key_width;
-    let h = hash (Bytes.unsafe_to_string buf) in
-    let rec free i = if slot_get t i = 0 then i else free ((i + 1) land t.mask) in
-    let i = free (h land t.mask) in
-    slot_set t i (id + 1);
-    Bytes.set t.tags i (Char.chr (tag_of_hash h))
+    let h = hash_sub t.arena (id * key_width) key_width in
+    place t.slots t.log2 ((tag h lsl 32) lor (id + 1))
   done;
   t
 

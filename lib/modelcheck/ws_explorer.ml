@@ -18,9 +18,12 @@
       interns keys, assigns ids, records incoming edges, checks the
       invariant, and mutates its shard — so the per-shard structures
       remain lock-free by construction.  An expander (owner or thief)
-      sends each candidate successor to its owner's inbox, a lock-free
-      {!Chan}.  Keys are canonicalized ({!Canon}) before hashing, so
-      ownership respects symmetry orbits under [~reduction].
+      computes successors with the shared key step
+      ({!Explorer.Make.step_key}) into domain-local buffers, delivers
+      the ones it owns straight from the buffer, and copies each other
+      one into a string for its owner's inbox, a lock-free {!Chan}.
+      Keys are canonicalized ({!Canon}) before hashing, so ownership
+      respects symmetry orbits under [~reduction].
 
     - Termination is detected by a global in-flight counter: [pending]
       counts undelivered messages plus unexpanded frontier items, and
@@ -197,10 +200,9 @@ module Make (P : Explorer.CHECKABLE) = struct
     let canon =
       if reduction then Some (E.canon_of ~cfg ~wiring ~inputs) else None
     in
-    let canonical key =
-      match canon with Some c -> Canon.canonicalize c key | None -> key
-    in
-    let owner key = (Hashtbl.hash key land max_int) mod nd in
+    (* [Hashtbl.hash] sees a [Bytes.t] and the [string] of the same bytes
+       alike, so the sender's buffer and the message agree on the owner. *)
+    let owner (key : Bytes.t) = (Hashtbl.hash key land max_int) mod nd in
     let shards =
       Array.init nd (fun _ ->
           {
@@ -234,19 +236,27 @@ module Make (P : Explorer.CHECKABLE) = struct
           | Some reason -> request (Hit_exhausted reason)
           | None -> ())
     in
+    let n = P.processors cfg and kw = E.key_width cfg in
     let worker w =
       let shard = shards.(w) in
       let gid lid = (lid * nd) + w in
+      (* Domain-local successor buffers: the key step writes into [ks],
+         canonicalization into [cbuf]. *)
+      let ks = E.stepper ~cfg ~wiring () in
+      let cbuf = Bytes.create kw in
+      let batches = Array.make nd [] in
       (* Owner-side intern of a key probed absent: id, parent link,
-         invariant, frontier push.  The caller's pending unit transmutes
-         into the new frontier item's unit — no counter traffic. *)
-      let create key ~from =
-        let lid = State_table.intern shard.table key in
+         invariant, frontier push.  The frontier item carries a copy of
+         the key because thieves never read another shard's table.  The
+         caller's pending unit transmutes into the new frontier item's
+         unit — no counter traffic. *)
+      let create b ~from =
+        let lid = State_table.intern_bytes shard.table b in
         ignore (Vec.push shard.parent from);
         Atomic.incr total_states;
         (match invariant with
         | Some check -> (
-            match check (E.decode_state cfg key) with
+            match check (E.decode_bytes cfg b) with
             | Ok () -> ()
             | Error message ->
                 ignore
@@ -255,14 +265,14 @@ module Make (P : Explorer.CHECKABLE) = struct
                 request Hit_violation)
         | None -> ());
         tick_governor ();
-        Deque.push deques.(w) (key, gid lid);
+        Deque.push deques.(w) (State_table.key_of_id shard.table lid, gid lid);
         lid
       in
-      (* Owner-side delivery of one message: consume its pending unit
-         (or hand it to the fresh frontier item). *)
-      let deliver (key, from) =
+      (* Owner-side delivery of one successor key: consume its pending
+         unit (or hand it to the fresh frontier item). *)
+      let deliver b from =
         (* [from < 0] only for the routed initial state: no edge then. *)
-        match State_table.find shard.table key with
+        match State_table.find_bytes shard.table b with
         | Some lid ->
             if from >= 0 then begin
               ignore (Vec.push shard.edge_src from);
@@ -275,7 +285,7 @@ module Make (P : Explorer.CHECKABLE) = struct
               Atomic.decr pending
             end
             else begin
-              let lid = create key ~from in
+              let lid = create b ~from in
               if from >= 0 then begin
                 ignore (Vec.push shard.edge_src from);
                 ignore (Vec.push shard.edge_dst (gid lid))
@@ -286,36 +296,49 @@ module Make (P : Explorer.CHECKABLE) = struct
         match Chan.drain inbox.(w) with
         | [] -> ()
         | batches ->
-            List.iter (fun batch -> List.iter deliver (List.rev batch))
+            List.iter
+              (fun batch ->
+                List.iter
+                  (fun (key, from) -> deliver (Bytes.unsafe_of_string key) from)
+                  (List.rev batch))
               (List.rev batches)
       in
       (* Expand one work item (ours or stolen).  Every emitted message's
          pending unit is incremented before this item's unit is
-         released, preserving the no-transient-zero invariant. *)
+         released, preserving the no-transient-zero invariant.  Successors
+         this worker owns are delivered straight from the buffer; a key
+         is copied into a string only to travel to another domain or to
+         become a (stealable) frontier item. *)
       let expand (key, src_gid) =
-        let st = E.decode_state cfg key in
+        Bytes.blit_string key 0 ks.E.parent_key 0 kw;
+        E.load_parent ks;
         let expand_it =
-          match stop_expansion with Some f -> not (f st) | None -> true
+          match stop_expansion with
+          | Some f -> not (f (E.decode_bytes cfg ks.E.parent_key))
+          | None -> true
         in
-        (if expand_it then
-           match E.enabled cfg st with
-           | [] -> shard.terminal <- shard.terminal + 1
-           | en ->
-               let batches = Array.make nd [] in
-               List.iter
-                 (fun p ->
-                   shard.transitions <- shard.transitions + 1;
-                   let st' = E.successor cfg wiring st p in
-                   let key' = canonical (E.encode_state cfg st') in
-                   let from = (src_gid lsl 4) lor p in
-                   Atomic.incr pending;
-                   let dst = owner key' in
-                   batches.(dst) <- (key', from) :: batches.(dst))
-                 en;
-               for dst = 0 to nd - 1 do
-                 if dst = w then List.iter deliver (List.rev batches.(dst))
-                 else Chan.push inbox.(dst) batches.(dst)
-               done);
+        if expand_it then begin
+          let any_enabled = ref false in
+          for p = 0 to n - 1 do
+            if E.step_key ks p then begin
+              any_enabled := true;
+              shard.transitions <- shard.transitions + 1;
+              let key' = E.canonical_next ks canon cbuf in
+              let from = (src_gid lsl 4) lor p in
+              Atomic.incr pending;
+              let dst = owner key' in
+              if dst = w then deliver key' from
+              else batches.(dst) <- (Bytes.to_string key', from) :: batches.(dst)
+            end
+          done;
+          if not !any_enabled then shard.terminal <- shard.terminal + 1;
+          for dst = 0 to nd - 1 do
+            if batches.(dst) <> [] then begin
+              Chan.push inbox.(dst) batches.(dst);
+              batches.(dst) <- []
+            end
+          done
+        end;
         Atomic.decr pending
       in
       (* xorshift victim picker, deterministically seeded per worker *)
@@ -329,20 +352,15 @@ module Make (P : Explorer.CHECKABLE) = struct
         let r = (x land max_int) mod (nd - 1) in
         if r >= w then r + 1 else r
       in
-      (if w = 0 then
+      (if w = 0 then begin
          (* Seed: the initial state's pending unit was pre-charged by the
             caller; route it through the owner's create. *)
-         let init_key =
-           canonical (E.encode_state cfg (E.init_state ~cfg ~inputs))
-         in
+         E.seed_init ks ~inputs;
+         let init_key = E.canonical_next ks canon cbuf in
          let o = owner init_key in
          if o = w then ignore (create init_key ~from:(-1))
-         else begin
-           Chan.push inbox.(o) [ (init_key, -1) ];
-           (* correct the double-count: create would transmute the unit,
-              but the message path pre-charges its own *)
-           ()
-         end);
+         else Chan.push inbox.(o) [ (Bytes.to_string init_key, -1) ]
+       end);
       while running () do
         drain_inbox ();
         match Deque.pop deques.(w) with

@@ -586,6 +586,332 @@ let test_codecs_out_of_range_structured () =
         }
         b off)
 
+(* --- key-native successors vs the boxed reference ------------------------ *)
+
+(* The engines expand states with [step_key] and intern
+   [Canon.canonicalize_into] images; [decode_state], [successor],
+   [encode_state], [canonicalize] and [canonicalize_masked] are the
+   reference semantics.  For every codec, random walks under random
+   wirings visit states whose every successor key (plain, and with a
+   random crash-mask byte as the fault engine stores it) must match the
+   reference byte for byte, and whose canonical images must agree.  The
+   canonicalizer is built for all processors in one class — the wiring's
+   full automorphism group — so nontrivial groups occur for every
+   layout. *)
+module Key_step (P : Modelcheck.Explorer.CHECKABLE) = struct
+  module E = Modelcheck.Explorer.Make (P)
+
+  let fail fmt = QCheck.Test.fail_reportf fmt
+
+  (* Check every processor's step from [st]'s key; [Some p] picks the
+     walk's next enabled processor. *)
+  let check_state ~cfg ~wiring ~canon ~mask ~rng ks kf st =
+    let n = P.processors cfg and kw = E.key_width cfg in
+    let key = E.encode_state cfg st in
+    let fkey = key ^ String.make 1 (Char.chr mask) in
+    let cbuf = Bytes.create kw and fbuf = Bytes.create (kw + 1) in
+    Modelcheck.Canon.canonicalize_into canon (Bytes.of_string key) cbuf;
+    if Bytes.to_string cbuf <> Modelcheck.Canon.canonicalize canon key then
+      fail "canonicalize_into differs from canonicalize";
+    Modelcheck.Canon.canonicalize_into ~masked:true canon (Bytes.of_string fkey)
+      fbuf;
+    if Bytes.to_string fbuf <> Modelcheck.Canon.canonicalize_masked canon fkey
+    then fail "masked canonicalize_into differs from canonicalize_masked";
+    Bytes.blit_string key 0 ks.E.parent_key 0 kw;
+    E.load_parent ks;
+    Bytes.blit_string fkey 0 kf.E.parent_key 0 (kw + 1);
+    E.load_parent kf;
+    let reference = E.decode_state cfg key in
+    let enabled = ref [] in
+    for p = 0 to n - 1 do
+      match P.next cfg reference.E.locals.(p) with
+      | None ->
+          if E.step_key ks p || E.step_key kf p then
+            fail "step_key stepped halted p%d" p
+      | Some _ -> (
+          match E.encode_state cfg (E.successor cfg wiring reference p) with
+          | exception Invalid_argument _ -> (
+              (* outside the codec's range: the key step refuses too *)
+              match E.step_key ks p with
+              | exception Invalid_argument _ -> ()
+              | _ -> fail "step_key encoded an out-of-range successor")
+          | want ->
+              enabled := p :: !enabled;
+              if not (E.step_key ks p) then fail "step_key skipped p%d" p;
+              if Bytes.to_string ks.E.next_key <> want then
+                fail "step_key p%d differs from the reference" p;
+              if not (E.step_key kf p) then fail "masked step_key skipped p%d" p;
+              if Bytes.to_string kf.E.next_key <> want ^ String.make 1 (Char.chr mask)
+              then fail "masked step_key p%d differs from the reference" p)
+    done;
+    match !enabled with
+    | [] -> None
+    | l -> Some (List.nth l (Rng.int rng (List.length l)))
+
+  let prop name ~configs =
+    QCheck.Test.make ~name:("key step: " ^ name) ~count:qcheck_count
+      QCheck.(
+        triple
+          (int_bound (List.length configs - 1))
+          (int_bound 1_000_000) (int_bound 60))
+      (fun (ci, seed, len) ->
+        let cfg, inputs = List.nth configs ci in
+        let n = P.processors cfg and m = P.registers cfg in
+        let rng = Rng.create ~seed in
+        let wiring =
+          if Rng.bool rng then Anonmem.Wiring.identity ~n ~m
+          else Anonmem.Wiring.random rng ~n ~m
+        in
+        let canon =
+          Modelcheck.Canon.make ~local_width:(P.local_width cfg)
+            ~value_width:(P.value_width cfg) ~wiring
+            ~classes:(Array.make n 0)
+        in
+        let mask = Rng.int rng (1 lsl n) in
+        let ks = E.stepper ~cfg ~wiring ()
+        and kf = E.stepper ~extra:1 ~cfg ~wiring () in
+        let rec walk st k =
+          match check_state ~cfg ~wiring ~canon ~mask ~rng ks kf st with
+          | Some p when k > 0 -> walk (E.successor cfg wiring st p) (k - 1)
+          | _ -> true
+        in
+        walk (E.init_state ~cfg ~inputs) len)
+end
+
+module Ks_snapshot = Key_step (SnapC)
+module Ks_write_scan = Key_step (WsC)
+module Ks_double_collect = Key_step (DcC)
+module Ks_consensus = Key_step (Modelcheck.Codecs.Consensus)
+module Ks_renaming = Key_step (Modelcheck.Codecs.Renaming)
+module Ks_rt_mutex = Key_step (Modelcheck.Codecs.Rt_mutex)
+module Ks_weak_leader = Key_step (Modelcheck.Codecs.Weak_leader)
+module Ks_naming = Key_step (Modelcheck.Codecs.Naming)
+
+let ids n = Array.init n (fun i -> i + 1)
+
+let key_step_props =
+  [
+    Ks_snapshot.prop "snapshot"
+      ~configs:
+        [
+          (Snap.standard ~n:2, [| 1; 1 |]);
+          (Snap.standard ~n:3, [| 1; 1; 1 |]);
+          (Snap.standard ~n:3, [| 1; 2; 1 |]);
+          (Snap.cfg ~n:2 ~m:3, [| 0; 7 |]);
+        ];
+    Ks_write_scan.prop "write-scan"
+      ~configs:
+        [
+          (Algorithms.Write_scan.cfg ~n:2 ~m:2, [| 1; 2 |]);
+          (Algorithms.Write_scan.cfg ~n:3 ~m:3, [| 1; 1; 2 |]);
+        ];
+    Ks_double_collect.prop "double-collect"
+      ~configs:
+        [
+          (Algorithms.Double_collect.standard ~n:2, [| 1; 2 |]);
+          (Algorithms.Double_collect.standard ~n:3, [| 1; 1; 1 |]);
+        ];
+    Ks_consensus.prop "consensus"
+      ~configs:
+        [
+          (Cons.standard ~n:2, [| 1; 2 |]);
+          (Cons.standard ~n:3, [| 1; 2; 3 |]);
+          (Cons.standard ~n:2, [| 2; 2 |]);
+        ];
+    Ks_renaming.prop "renaming"
+      ~configs:
+        [
+          (Ren.standard ~n:2, [| 1; 2 |]); (Ren.standard ~n:3, [| 1; 1; 2 |]);
+        ];
+    Ks_rt_mutex.prop "rt-mutex"
+      ~configs:
+        [
+          (Algorithms.Rt_mutex.cfg ~n:2 ~m:3, ids 2);
+          (Algorithms.Rt_mutex.cfg ~n:3 ~m:4, ids 3);
+          (Algorithms.Rt_mutex.cfg_eager ~n:2 ~m:2, ids 2);
+        ];
+    Ks_weak_leader.prop "weak-leader"
+      ~configs:
+        [
+          (Algorithms.Weak_leader.cfg ~n:2 ~m:2, ids 2);
+          (Algorithms.Weak_leader.cfg ~n:3 ~m:3, ids 3);
+        ];
+    Ks_naming.prop "naming"
+      ~configs:
+        [
+          (Algorithms.Naming.cfg ~n:2 ~m:3, ids 2);
+          (Algorithms.Naming.cfg ~n:3 ~m:4, ids 3);
+        ];
+  ]
+
+(* Violation reports survive the key path: the BFS trace replays under the
+   reference semantics to the violating key with the minimal length a
+   naive boxed BFS finds; the DFS reports the boxed successor of the
+   decoded parent — not the decoded key, which differs from it for codecs
+   that drop ghost fields (Consensus drops [rounds] and [input]); the
+   work-stealing, fingerprint and fault engines report states the
+   invariant really rejects with their message. *)
+module Violations (P : Modelcheck.Explorer.CHECKABLE) = struct
+  module E = Modelcheck.Explorer.Make (P)
+  module Ws = Modelcheck.Ws_explorer.Make (P)
+  module F = Modelcheck.Fault_explorer.Make (P)
+
+  let key cfg st = E.encode_state cfg st
+
+  (* Depth of the shallowest violating state, by a naive BFS over
+     decoded states keyed by their encodings. *)
+  let min_depth ~cfg ~wiring ~inputs ~invariant ~stop =
+    let seen = Hashtbl.create 1024 in
+    let rec layer depth frontier =
+      if frontier = [] then Alcotest.fail "reference BFS found no violation"
+      else if List.exists (fun st -> Result.is_error (invariant st)) frontier
+      then depth
+      else
+        layer (depth + 1)
+          (List.concat_map
+             (fun st ->
+               if stop st then []
+               else
+                 List.filter_map
+                   (fun p ->
+                     let k = key cfg (E.successor cfg wiring st p) in
+                     if Hashtbl.mem seen k then None
+                     else begin
+                       Hashtbl.add seen k ();
+                       Some (E.decode_state cfg k)
+                     end)
+                   (E.enabled cfg st))
+             frontier)
+    in
+    let k0 = key cfg (E.init_state ~cfg ~inputs) in
+    Hashtbl.add seen k0 ();
+    layer 0 [ E.decode_state cfg k0 ]
+
+  let check_message invariant st message =
+    Alcotest.(check (result unit string))
+      "message is the invariant's verdict on the reported state"
+      (Error message) (invariant st)
+
+  let run ~cfg ~wiring ~inputs ~invariant ?(stop = fun _ -> false) () =
+    let depth = min_depth ~cfg ~wiring ~inputs ~invariant ~stop in
+    (match
+       E.explore ~invariant ~stop_expansion:stop ~cfg ~wiring ~inputs ()
+     with
+    | E.Invariant_failed (space, v) ->
+        Alcotest.(check int) "BFS trace is minimal" depth (List.length v.E.trace);
+        let final =
+          List.fold_left
+            (fun st (p, post) ->
+              Alcotest.(check string) "trace step replays"
+                (key cfg (E.successor cfg wiring st p)) (key cfg post);
+              post)
+            (E.init_state ~cfg ~inputs) v.E.trace
+        in
+        Alcotest.(check string) "trace ends at the violating key"
+          (Modelcheck.State_table.key_of_id space.E.table v.E.state_id)
+          (key cfg final);
+        check_message invariant final v.E.message
+    | _ -> Alcotest.fail "BFS: expected an invariant failure");
+    (match
+       E.check_exhaustive ~fail_on_cycle:false ~invariant ~stop_expansion:stop
+         ~cfg ~wiring ~inputs ()
+     with
+    | E.Dfs_invariant_failed { message; state; path; _ } ->
+        let expected =
+          match List.rev path with
+          | [] -> E.init_state ~cfg ~inputs
+          | last :: rev_prefix ->
+              let parent_key =
+                List.fold_left
+                  (fun k p ->
+                    key cfg (E.successor cfg wiring (E.decode_state cfg k) p))
+                  (key cfg (E.init_state ~cfg ~inputs))
+                  (List.rev rev_prefix)
+              in
+              E.successor cfg wiring (E.decode_state cfg parent_key) last
+        in
+        if state <> expected then
+          Alcotest.fail "DFS: reported state is not the boxed reference successor";
+        check_message invariant state message
+    | _ -> Alcotest.fail "DFS: expected an invariant failure");
+    (match
+       Ws.explore ~invariant ~stop_expansion:stop ~domains:1 ~cfg ~wiring
+         ~inputs ()
+     with
+    | Ws.Ws_invariant_failed { message; trace; _ } ->
+        let final =
+          List.fold_left (fun _ (_, post) -> post) (E.init_state ~cfg ~inputs) trace
+        in
+        check_message invariant final message
+    | _ -> Alcotest.fail "work stealing: expected an invariant failure");
+    (match
+       E.explore_fp ~invariant ~stop_expansion:stop ~cfg ~wiring ~inputs ()
+     with
+    | E.Fp_invariant_failed { message; trace; _ } ->
+        Alcotest.(check int) "fingerprint trace is minimal" depth
+          (List.length trace);
+        let final =
+          List.fold_left (fun _ (_, post) -> post) (E.init_state ~cfg ~inputs) trace
+        in
+        check_message invariant final message
+    | _ -> Alcotest.fail "fingerprint: expected an invariant failure");
+    if not (List.exists (fun st -> stop st) [ E.init_state ~cfg ~inputs ]) then
+      match F.explore ~max_crashes:1 ~invariant ~cfg ~wiring ~inputs () with
+      | F.Invariant_failed v ->
+          let st, _ =
+            List.fold_left
+              (fun (st, mask) -> function
+                | F.Step p -> (E.successor cfg wiring st p, mask)
+                | F.Crash p -> (st, mask lor (1 lsl p)))
+              (E.init_state ~cfg ~inputs, 0)
+              v.F.steps
+          in
+          Alcotest.(check string) "fault witness replays to the state"
+            (key cfg st) (key cfg v.F.state);
+          check_message invariant v.F.state v.F.message
+      | _ -> Alcotest.fail "fault: expected an invariant failure"
+end
+
+module Snap_violations = Violations (SnapC)
+module Cons_violations = Violations (Cc)
+
+let test_violation_reports_snapshot () =
+  let cfg = Snap.standard ~n:2 in
+  let invariant (st : Snap_violations.E.state) =
+    match
+      List.filter
+        (fun p -> Snap.output cfg st.Snap_violations.E.locals.(p) <> None)
+        [ 0; 1 ]
+    with
+    | [] -> Ok ()
+    | p :: _ -> Error (Printf.sprintf "p%d terminated" (p + 1))
+  in
+  List.iter
+    (fun wiring ->
+      Snap_violations.run ~cfg ~wiring ~inputs:[| 1; 2 |] ~invariant ())
+    (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
+
+let test_violation_reports_consensus () =
+  (* A decision is the first step that completes a snapshot round, so the
+     reference successor carries [rounds = 1] while the decoded key says
+     0: the DFS report must be the former. *)
+  let cfg = Cons.standard ~n:2 in
+  let invariant (st : Cons_violations.E.state) =
+    match
+      Array.to_list st.Cons_violations.E.locals
+      |> List.filter_map (fun l -> l.Cons.decided)
+    with
+    | [] -> Ok ()
+    | v :: _ -> Error (Printf.sprintf "decided %d" v)
+  in
+  let stop (st : Cons_violations.E.state) =
+    Array.exists (fun l -> l.Cons.ts >= 3) st.Cons_violations.E.locals
+  in
+  List.iter
+    (fun wiring ->
+      Cons_violations.run ~cfg ~wiring ~inputs:[| 1; 2 |] ~invariant ~stop ())
+    (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -654,4 +980,12 @@ let () =
           Alcotest.test_case "out-of-range leaves neighbours intact" `Quick
             test_codecs_out_of_range_structured;
         ] );
+      ( "key-step",
+        List.map QCheck_alcotest.to_alcotest key_step_props
+        @ [
+            Alcotest.test_case "violation reports: snapshot" `Quick
+              test_violation_reports_snapshot;
+            Alcotest.test_case "violation reports: consensus ghosts" `Quick
+              test_violation_reports_consensus;
+          ] );
     ]

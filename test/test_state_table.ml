@@ -11,8 +11,9 @@
    identical dense ids, and exact [key_of_id]/[iter] round-trips.  On top
    of that, deterministic unit tests pin down the adversarial cases
    randomness is unlikely to hit: seeded same-bucket (and same-tag)
-   collision chains, duplicate interns across a resize, and the
-   structured width/range errors.  The Packed_vec companion gets the same
+   collision chains built from the table's own slot-index and tag
+   functions, duplicate interns across a resize, and the structured
+   width/range errors.  The Packed_vec companion gets the same
    treatment against a plain [int array] model. *)
 
 module St = Modelcheck.State_table
@@ -109,20 +110,23 @@ let prop_load_factor =
 (* Deterministic adversarial cases                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Enumerate distinct width-8 keys whose hash lands in [bucket] of a
-   [cap]-slot table — the worst case for linear probing, and (since tags
-   are only 8 bits) a stream guaranteed to contain same-tag collisions
-   once it exceeds 256 keys' birthday bound. *)
+(* Width-8 keys: the little-endian image of [i]. *)
+let key_of_int i =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int i);
+  Bytes.to_string b
+
+let home ~cap k = St.slot_index ~capacity:cap (St.hash k)
+
+(* Enumerate distinct width-8 keys whose home slot is [bucket] of a
+   [cap]-slot table — the worst case for linear probing. *)
 let colliding_keys ~cap ~bucket count =
-  let buf = Bytes.create 8 in
   let rec go i acc found =
     if found = count then List.rev acc
-    else begin
-      Bytes.set_int64_le buf 0 (Int64.of_int i);
-      let k = Bytes.to_string buf in
-      if St.hash k land (cap - 1) = bucket then go (i + 1) (k :: acc) (found + 1)
+    else
+      let k = key_of_int i in
+      if home ~cap k = bucket then go (i + 1) (k :: acc) (found + 1)
       else go (i + 1) acc found
-    end
   in
   go 0 [] 0
 
@@ -144,31 +148,51 @@ let test_seeded_collisions () =
   Alcotest.(check (option int)) "absent collider misses" None (St.find t absent)
 
 let test_same_tag_collisions () =
-  (* Force full hash-tag agreement: keys sharing both the bucket of the
-     initial 8-slot table and the 8-bit stored tag can only be told apart
-     by the arena comparison. *)
-  let keys = colliding_keys ~cap:8 ~bucket:0 3000 in
-  let tag k = (St.hash k lsr 55) land 0xff in
-  let by_tag = Hashtbl.create 256 in
-  List.iter
-    (fun k ->
-      Hashtbl.replace by_tag (tag k) (k :: Option.value ~default:[] (Hashtbl.find_opt by_tag (tag k))))
-    keys;
-  let twins =
-    Hashtbl.fold
-      (fun _ ks acc ->
-        match ks with a :: b :: _ -> (a, b) :: acc | _ -> acc)
-      by_tag []
+  (* Force full slot-tag agreement: keys with equal 31-bit tags share
+     their home slot at every capacity, so only the arena comparison can
+     tell them apart.  A birthday search over the tags finds such twins
+     after ~60k keys. *)
+  let by_tag = Hashtbl.create 65536 in
+  let rec search i acc =
+    if List.length acc >= 4 then acc
+    else
+      let k = key_of_int i in
+      let tg = St.tag (St.hash k) in
+      match Hashtbl.find_opt by_tag tg with
+      | Some twin -> search (i + 1) ((twin, k) :: acc)
+      | None ->
+          Hashtbl.add by_tag tg k;
+          search (i + 1) acc
   in
-  Alcotest.(check bool) "found same-bucket same-tag twins" true (twins <> []);
+  let twins = search 0 [] in
+  Alcotest.(check int) "found same-tag twins" 4 (List.length twins);
   let t = St.create ~log2_slots:3 ~key_width:8 () in
   List.iter
     (fun (a, b) ->
+      List.iter
+        (fun cap ->
+          Alcotest.(check int) "twins share the home slot" (home ~cap a)
+            (home ~cap b))
+        [ 8; 1 lsl 20; 1 lsl 31 ];
       let ia = St.intern t a and ib = St.intern t b in
       Alcotest.(check bool) "twins get distinct ids" true (ia <> ib);
       Alcotest.(check (option int)) "twin a found" (Some ia) (St.find t a);
       Alcotest.(check (option int)) "twin b found" (Some ib) (St.find t b))
     twins
+
+let test_tag_bits_live () =
+  (* Every one of the 31 tag bits must vary: the top 8 take all 256
+     values and the low bit both values over a few thousand keys.  (A
+     hash with a dead bit would halve the filter's power.) *)
+  let top = Hashtbl.create 256 and low = Hashtbl.create 2 in
+  for i = 0 to 9999 do
+    let tg = St.tag (St.hash (key_of_int i)) in
+    Alcotest.(check bool) "tag in [0, 2^31)" true (tg >= 0 && tg < 1 lsl 31);
+    Hashtbl.replace top (tg lsr 23) ();
+    Hashtbl.replace low (tg land 1) ()
+  done;
+  Alcotest.(check int) "top 8 tag bits all live" 256 (Hashtbl.length top);
+  Alcotest.(check int) "lowest tag bit live" 2 (Hashtbl.length low)
 
 let test_duplicate_inserts_across_growth () =
   let t = St.create ~log2_slots:0 ~key_width:4 () in
@@ -207,9 +231,7 @@ let test_words_grows () =
   let t = St.create ~key_width:8 () in
   let w0 = St.words t in
   for i = 0 to 9999 do
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int i);
-    ignore (St.intern t (Bytes.to_string b))
+    ignore (St.intern t (key_of_int i))
   done;
   Alcotest.(check bool) "words reflects arena growth" true (St.words t > w0)
 
@@ -305,6 +327,7 @@ let () =
             test_seeded_collisions;
           Alcotest.test_case "same-bucket same-tag twins" `Quick
             test_same_tag_collisions;
+          Alcotest.test_case "every tag bit live" `Quick test_tag_bits_live;
           Alcotest.test_case "duplicate inserts across growth" `Quick
             test_duplicate_inserts_across_growth;
         ] );
