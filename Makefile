@@ -16,13 +16,13 @@ bench:
 	dune exec bench/main.exe
 
 # Model-checking engine benchmark: states visited, wall-clock and peak
-# memory for sequential vs symmetry-reduced vs parallel x {1,2,4}
-# domains on the snapshot explorations.  Writes BENCH_mc.json (several
-# minutes: the 3-processor rows explore ~2M states each, and the
+# memory for the sequential engine, full vs symmetry-reduced, with
+# fingerprint twins, on the snapshot explorations.  Writes BENCH_mc.json
+# (several minutes: the 3-processor rows explore ~2M states each, and the
 # 4-processor bounded-depth row explores a ~28M-state symmetry quotient
 # — a few GiB of heap — that only the arena state tables keep
-# affordable).  The 3-processor full row is additionally rebuilt in the
-# pre-arena boxed layout to report the memory-compaction factor.
+# affordable).  The memory-compaction factor divides a frozen
+# historical seed-layout figure by the 3-processor full row's arena size.
 bench-mc:
 	dune build bench/bench_mc.exe
 	cd $(CURDIR) && ./_build/default/bench/bench_mc.exe

@@ -1,43 +1,36 @@
 (* Model-checking benchmark: states visited, wall-clock and peak memory
    for the snapshot exploration under the engine configurations —
-   sequential, sequential + symmetry reduction, work-stealing parallel
-   x {1,2,4} domains with and without reduction, and fingerprint twins.  Results go to BENCH_mc.json
-   (hand-rolled JSON, no external dependency) and a human-readable table
-   on stdout; EXPERIMENTS.md tables X6/X7 are generated from this output.
+   sequential BFS with and without symmetry reduction, and fingerprint
+   twins of each.  Results go to BENCH_mc.json (hand-rolled JSON, no
+   external dependency) and a human-readable table on stdout;
+   EXPERIMENTS.md tables X6/X7 are generated from this output.
 
    The headline case is the 3-processor identity-wiring snapshot with a
    single input class — the largest symmetry group (|G| = 6) and the
    configuration whose full space is infeasible to sweep inside the test
-   suite.  On a single-core host the parallel rows measure overhead, not
-   speedup; the acceptance claims are carried by the visited-state
-   reduction column and by the arena-vs-seed-layout memory comparison.
+   suite.  The acceptance claims are carried by the visited-state
+   reduction column and by the arena-vs-seed-layout memory factor.
 
    Memory columns.  [live_words] is the exact retained size of the row's
-   result value, [Obj.reachable_words] over the explored space for
-   sequential rows (the parallel engine discards its space and retains
-   only a stats record, so ws rows report a handful of words).  Earlier
-   revisions reported a GC live-word delta instead, which went negative
-   on rows that spawn and join domains — joined domains fold their minor
-   heaps back into the major heap, so the "before" baseline is not
-   comparable to the "after" reading.  Reachable words are non-negative
+   result value, [Obj.reachable_words] over the explored space (over the
+   stats record for fingerprint rows).  Reachable words are non-negative
    by construction and count shared blocks once.  [top_heap_words] is
    the process-wide heap high-water mark when the row finishes (monotone
    across rows — cases run smallest first, so the headline rows own the
-   peak).  The headline full row is additionally rebuilt in the
-   pre-arena seed layout (string Hashtbl + boxed key vector + int edge
-   vectors) and measured the same way, so the compaction factor compares
-   identical state/transition counts. *)
+   peak).  The seed-layout figure is a frozen historical constant: the
+   headline full space rebuilt in the pre-arena layout (string Hashtbl +
+   boxed key vector + int edge vectors) measured [seed_layout_words_frozen]
+   words when this benchmark still carried that replica.  The state and
+   transition counts are deterministic, so the factor against the fresh
+   arena row still compares identical spaces. *)
 
-open Repro_util
 module Snap = Algorithms.Snapshot
-module St = Modelcheck.State_table
 module P = Modelcheck.Codecs.Snapshot
 module E = Modelcheck.Explorer.Make (P)
 
 type row = {
   case : string;
-  engine : string; (* "seq" | "ws" | "fp" *)
-  domains : int;
+  engine : string; (* "seq" | "fp" *)
   reduction : bool;
   states : int;
   transitions : int;
@@ -87,42 +80,8 @@ let measure f =
   let live_words = Obj.reachable_words (Obj.repr r) in
   (r, wall_s, live_words, (Gc.stat ()).Gc.top_heap_words)
 
-(* Rebuild [space] in the pre-arena layout this benchmark used before the
-   State_table rewrite — (string, id) Hashtbl over boxed key strings, a
-   string Vec for id -> key (sharing the same strings, as the seed did),
-   an int Vec of packed parents and two int Vecs of packed edges — and
-   return its retained size in words, measured exactly like [measure]
-   does ([Obj.reachable_words] over the rebuilt structures).  States,
-   transitions and per-entry contents are identical to the arena space,
-   so the ratio to the arena row's [live_words] is a like-for-like
-   compaction factor. *)
-let seed_layout_words (space : E.space) =
-  let n = E.state_count space in
-  let off = E.csr_offsets space in
-  let table : (string, int) Hashtbl.t = Hashtbl.create (1 lsl 16) in
-  let keys : string Vec.t = Vec.create () in
-  St.iter
-    (fun id key ->
-      ignore (Vec.push keys key);
-      Hashtbl.add table key id)
-    space.E.table;
-  let parent : int Vec.t = Vec.create () in
-  for id = 0 to n - 1 do
-    ignore (Vec.push parent (E.parent_packed space id))
-  done;
-  let edge_src : int Vec.t = Vec.create () in
-  let edge_dst : int Vec.t = Vec.create () in
-  for u = 0 to n - 1 do
-    for i = off.(u) to off.(u + 1) - 1 do
-      let packed = St.Packed_vec.get space.E.succ i in
-      ignore (Vec.push edge_src ((u lsl 4) lor (packed land 15)));
-      ignore (Vec.push edge_dst (packed asr 4))
-    done
-  done;
-  Obj.reachable_words (Obj.repr (table, keys, parent, edge_src, edge_dst))
-
-(* (seed_layout_words, arena live_words) of the headline full seq row. *)
-let layout_comparison : (int * int) option ref = ref None
+(* The frozen seed-layout figure (see the header); never re-measured. *)
+let seed_layout_words_frozen = 37_655_156
 
 let mib_of_words w = float_of_int (w * (Sys.word_size / 8)) /. 1048576.
 
@@ -140,7 +99,6 @@ let seq_case ?stop_expansion ~case ~reduction ~cfg ~wiring ~inputs () =
     {
       case;
       engine;
-      domains = 1;
       reduction;
       states;
       transitions;
@@ -156,39 +114,7 @@ let seq_case ?stop_expansion ~case ~reduction ~cfg ~wiring ~inputs () =
     case engine
     (if reduction then "red  " else "full ")
     states transitions wall_s (mib_of_words live_words);
-  (space, live_words)
-
-module Ws = Modelcheck.Ws_explorer.Make (P)
-
-let ws_case ~case ~domains ~reduction ~cfg ~wiring ~inputs () =
-  let stats, wall_s, live_words, top_heap_words =
-    measure (fun () ->
-        match Ws.explore ~reduction ~domains ~cfg ~wiring ~inputs () with
-        | Ws.Ws_ok { stats; _ } -> stats
-        | _ -> failwith (case ^ ": work-stealing exploration did not complete"))
-  in
-  let states = stats.Ws.states and transitions = stats.Ws.transitions in
-  rows :=
-    {
-      case;
-      engine = "ws";
-      domains;
-      reduction;
-      states;
-      transitions;
-      wall_s;
-      live_words;
-      top_heap_words;
-      spill_bytes = 0;
-      omission_bound = 0.0;
-      rss_kb = vm_hwm_kb ();
-    }
-    :: !rows;
-  Printf.printf
-    "%-24s ws  x%d     %s %9d states %9d trans %8.2fs %6d steals\n%!" case
-    domains
-    (if reduction then "red  " else "full ")
-    states transitions wall_s stats.Ws.steals
+  space
 
 (* A fingerprint row: RAM-bounded safety-only exploration.  [expect]
    (when the exact twin already ran) pins state/transition parity hard;
@@ -215,7 +141,6 @@ let fp_case ?stop_expansion ?expect ~case ~reduction ~ram_budget_bytes ~cfg
     {
       case;
       engine = "fp";
-      domains = 1;
       reduction;
       states = st.E.fp_states;
       transitions = st.E.fp_transitions;
@@ -239,28 +164,12 @@ let fp_case ?stop_expansion ?expect ~case ~reduction ~ram_budget_bytes ~cfg
     st.E.fp_bound
     (float_of_int rss_kb /. 1024.)
 
-let run_matrix ?(measure_layout = false) ~case ~domain_counts ~cfg ~wiring
-    ~inputs () =
-  let full_space = ref None in
-  List.iter
-    (fun reduction ->
-      let space, live = seq_case ~case ~reduction ~cfg ~wiring ~inputs () in
-      if not reduction then full_space := Some space;
-      if measure_layout && not reduction then begin
-        let seed = seed_layout_words space in
-        layout_comparison := Some (seed, live);
-        Printf.printf
-          "%-24s seed-layout replica: %8.1f MiB vs arena %8.1f MiB (%.2fx)\n%!"
-          case (mib_of_words seed) (mib_of_words live)
-          (float_of_int seed /. float_of_int live)
-      end;
-      List.iter
-        (fun domains -> ws_case ~case ~domains ~reduction ~cfg ~wiring ~inputs ())
-        domain_counts)
-    [ false; true ];
-  Option.get !full_space
+let run_pair ~case ~cfg ~wiring ~inputs () =
+  let space = seq_case ~case ~reduction:false ~cfg ~wiring ~inputs () in
+  ignore (seq_case ~case ~reduction:true ~cfg ~wiring ~inputs ());
+  space
 
-let json_of_rows rows ~reduction_factor ~layout ~universe =
+let json_of_rows rows ~reduction_factor ~headline_arena_words ~universe =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"bench\": \"mc\",\n";
@@ -270,15 +179,19 @@ let json_of_rows rows ~reduction_factor ~layout ~universe =
   Buffer.add_string b
     (Printf.sprintf "  \"snapshot3_state_reduction_factor\": %.2f,\n"
        reduction_factor);
-  (match layout with
-  | Some (seed, arena) ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"headline_seed_layout_words\": %d,\n" seed);
+  Buffer.add_string b
+    (Printf.sprintf "  \"headline_seed_layout_words_frozen\": %d,\n"
+       seed_layout_words_frozen);
+  Buffer.add_string b
+    "  \"headline_seed_layout_words_note\": \"frozen historical constant, \
+     last measured by the retired seed-layout replica; not re-measured\",\n";
+  (match headline_arena_words with
+  | Some arena ->
       Buffer.add_string b
         (Printf.sprintf "  \"headline_arena_words\": %d,\n" arena);
       Buffer.add_string b
         (Printf.sprintf "  \"headline_memory_factor\": %.2f,\n"
-           (float_of_int seed /. float_of_int arena))
+           (float_of_int seed_layout_words_frozen /. float_of_int arena))
   | None -> ());
   (let u = universe in
    Buffer.add_string b
@@ -296,11 +209,11 @@ let json_of_rows rows ~reduction_factor ~layout ~universe =
     (fun i r ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"case\": %S, \"engine\": %S, \"domains\": %d, \"reduction\": \
-            %b, \"states\": %d, \"transitions\": %d, \"wall_s\": %.3f, \
+           "    {\"case\": %S, \"engine\": %S, \"reduction\": %b, \
+            \"states\": %d, \"transitions\": %d, \"wall_s\": %.3f, \
             \"live_words\": %d, \"top_heap_words\": %d, \"spill_bytes\": \
             %d, \"omission_bound\": %.3g, \"rss_kb\": %d}%s\n"
-           r.case r.engine r.domains r.reduction r.states r.transitions
+           r.case r.engine r.reduction r.states r.transitions
            r.wall_s r.live_words r.top_heap_words r.spill_bytes
            r.omission_bound r.rss_kb
            (if i = List.length rows - 1 then "" else ",")))
@@ -319,8 +232,7 @@ let () =
     | _ -> assert false
   in
   let sp2 =
-    run_matrix ~measure_layout:quick ~case:"snapshot_n2_group"
-      ~domain_counts:[ 1; 2; 4 ] ~cfg:cfg2 ~wiring:group_wiring2
+    run_pair ~case:"snapshot_n2_group" ~cfg:cfg2 ~wiring:group_wiring2
       ~inputs:[| 1; 1 |] ()
   in
   (* Fingerprint twins of the n=2 rows: a deliberately starved 1 KiB
@@ -342,8 +254,7 @@ let () =
        states without completing), and in the seed's boxed layout its
        keys, hashtable chains and 2x8-byte edge words would not fit
        this host alongside GC copying headroom.  The arena keeps the
-       quotient row in flat bytes.  Sequential engine only — on this
-       host the parallel engine measures overhead. *)
+       quotient row in flat bytes. *)
     let stop_two_scans (st : E.state) =
       let c = ref 0 in
       Array.iter
@@ -364,8 +275,7 @@ let () =
       ~ram_budget_bytes:(128 * 1024 * 1024)
       ~cfg:cfg4 ~wiring:wiring4 ~inputs:inputs4 ();
     let sp3 =
-      run_matrix ~measure_layout:true ~case:"snapshot_n3_identity"
-        ~domain_counts:[ 1; 2; 4 ] ~cfg:cfg3 ~wiring:wiring3
+      run_pair ~case:"snapshot_n3_identity" ~cfg:cfg3 ~wiring:wiring3
         ~inputs:[| 1; 1; 1 |] ()
     in
     (* Fingerprint twins at 4 MiB — enough to force several spill runs
@@ -382,13 +292,13 @@ let () =
          ~reduction:true ~cfg:cfg4 ~wiring:wiring4 ~inputs:inputs4 ())
   end;
   let ordered = List.rev !rows in
-  (* Cross-engine parity, post hoc: every fingerprint and work-stealing
-     row must agree with the sequential row of its (case, reduction)
-     cell — this is the check that covers rows whose exact twin ran
-     after them (the n=4 fingerprint row) and every reduced twin. *)
+  (* Cross-engine parity, post hoc: every fingerprint row must agree
+     with the sequential row of its (case, reduction) cell — this is the
+     check that covers rows whose exact twin ran after them (the n=4
+     fingerprint row) and every reduced twin. *)
   List.iter
     (fun r ->
-      if r.engine = "fp" || r.engine = "ws" then
+      if r.engine = "fp" then
         match
           List.find_opt
             (fun s ->
@@ -413,6 +323,12 @@ let () =
         float_of_int full.states /. float_of_int red.states
     | _ -> nan
   in
+  (* The frozen seed-layout figure is for the n=3 full space only. *)
+  let headline_arena_words =
+    match find ~reduction:false with
+    | Some r when r.case = "snapshot_n3_identity" -> Some r.live_words
+    | _ -> None
+  in
   (* Candidate-universe accounting at n=4 from the closed-form counter:
      syntactic local assignments vs assignments admitted by the proved
      clauses — the induction checker's universe cut. *)
@@ -428,17 +344,17 @@ let () =
     /. float_of_int universe.Modelcheck.Inductive.u_adm_states);
   let oc = open_out "BENCH_mc.json" in
   output_string oc
-    (json_of_rows ordered ~reduction_factor ~layout:!layout_comparison
+    (json_of_rows ordered ~reduction_factor ~headline_arena_words
        ~universe);
   close_out oc;
-  (match !layout_comparison with
-  | Some (seed, arena) ->
+  (match headline_arena_words with
+  | Some arena ->
       Printf.printf
         "\n\
-         %s: %.2fx visited-state reduction, %.2fx memory reduction vs \
-         seed layout; wrote BENCH_mc.json\n"
+         %s: %.2fx visited-state reduction, %.2fx memory reduction vs the \
+         frozen seed-layout figure; wrote BENCH_mc.json\n"
         headline reduction_factor
-        (float_of_int seed /. float_of_int arena)
+        (float_of_int seed_layout_words_frozen /. float_of_int arena)
   | None ->
       Printf.printf
         "\n%s: %.2fx visited-state reduction; wrote BENCH_mc.json\n" headline

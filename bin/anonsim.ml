@@ -198,17 +198,6 @@ let check_snapshot_cmd =
              covers every timed crash plan with at most K crashes.  Safety \
              only: crashed processors trivially never terminate.")
   in
-  let par_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "par" ] ~docv:"N"
-          ~doc:
-            "Explore with N worker domains using the work-stealing engine \
-             (Chase-Lev frontier deques, no layer barriers).  N=1 keeps the \
-             sequential explorer.  N>1 supports $(b,--max-seconds) but not \
-             $(b,--checkpoint) (there is no consistent cut to snapshot \
-             without stopping the pool), and excludes $(b,--fingerprint).")
-  in
   let fingerprint_arg =
     Arg.(
       value & flag
@@ -248,7 +237,7 @@ let check_snapshot_cmd =
           ~doc:
             "Checkpoint exploration state to $(docv) periodically \
              (atomically), so an interrupted or budget-exhausted run can \
-             continue with $(b,--resume).  Sequential engine only.")
+             continue with $(b,--resume).")
   in
   let resume_arg =
     Arg.(
@@ -267,17 +256,9 @@ let check_snapshot_cmd =
             "Wall-clock budget; on expiry the run writes a final \
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
-  let run n max_states crashes par fingerprint fp_ram_mb reduce checkpoint
-      resume max_seconds =
-    if par < 1 then `Error (true, "--par must be at least 1")
-    else if fingerprint && par > 1 then
-      `Error (true, "--fingerprint is a sequential engine (drop --par)")
-    else if par > 1 && checkpoint <> None then
-      `Error
-        ( true,
-          "--par N>1 has no checkpoint support; use --max-seconds for bounded \
-           runs" )
-    else if fp_ram_mb < 1 then `Error (true, "--fp-ram-mb must be at least 1")
+  let run n max_states crashes fingerprint fp_ram_mb reduce checkpoint resume
+      max_seconds =
+    if fp_ram_mb < 1 then `Error (true, "--fp-ram-mb must be at least 1")
     else begin
     install_signal_handlers ();
     let governor =
@@ -368,8 +349,8 @@ let check_snapshot_cmd =
           check_crashes ()
     else
       match
-        Core.verify_snapshot_model ~n ?max_states ~reduction:reduce
-          ~domains:par ~governor ?ckpt ~resume ()
+        Core.verify_snapshot_model ~n ?max_states ~reduction:reduce ~governor
+          ?ckpt ~resume ()
       with
       | Error e -> finish_durably e
       | Ok s ->
@@ -392,7 +373,6 @@ let check_snapshot_cmd =
           (containment safety + wait-freedom) over all wirings — the \
           paper's TLC claim.  With $(b,--crashes) K, additionally \
           re-verify safety under at most K injected crash-stop faults.  \
-          $(b,--par) N explores on a work-stealing pool of N domains; \
           $(b,--fingerprint) switches to the RAM-bounded \
           hash-compaction engine (safety only, quantified omission bound); \
           $(b,--reduce) \
@@ -403,7 +383,7 @@ let check_snapshot_cmd =
           where it stopped.")
     Term.(
       ret
-        (const run $ n_arg ~default:2 $ max_states_arg $ crashes_arg $ par_arg
+        (const run $ n_arg ~default:2 $ max_states_arg $ crashes_arg
        $ fingerprint_arg $ fp_ram_mb_arg $ reduce_arg
        $ checkpoint_arg $ resume_arg $ max_seconds_arg))
 

@@ -133,14 +133,14 @@ let fig3 () =
 
 let claim_c1 () =
   header "C1: model-checking the snapshot algorithm (TLC claim)";
+  (* An [Ok] sweep is wait-free: a cycle ends the sweep with an error. *)
   (match Core.verify_snapshot_model ~n:2 () with
   | Ok s ->
       Printf.printf
         "n=2: VERIFIED over %d wirings; %d states, %d transitions, %d \
-         terminal states; wait-free: %b\n"
+         terminal states; wait-free: true\n"
         s.Modelcheck.Explorer.wirings_checked s.Modelcheck.Explorer.total_states
         s.Modelcheck.Explorer.total_transitions s.Modelcheck.Explorer.terminal_states
-        s.Modelcheck.Explorer.all_wait_free
   | Error e ->
       Printf.printf "n=2 FAILED: %s\n"
         (Modelcheck.Explorer.sweep_error_message e));

@@ -179,7 +179,6 @@ let figure2_table ?actions () =
 let lower_bound_demo ~n () = Analysis.Lower_bound.run ~n ()
 
 module Snapshot_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot)
-module Snapshot_ws_mc = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Snapshot)
 
 (** The strong snapshot invariant checked during model checking: every
     pair of outputs produced so far is related by containment, every
@@ -213,25 +212,17 @@ let snapshot_invariant cfg inputs (st : Snapshot_mc.state) =
 
     [~reduction:true] quotients each per-wiring space by its anonymity
     symmetries (a gain exactly when [inputs] has repeated values — with
-    all-distinct inputs the symmetry group is trivial).  [~domains > 1]
-    switches from the sequential DFS sweep to the work-stealing parallel
-    engine ({!Modelcheck.Ws_explorer}) with that many worker domains; it
-    honours [governor] but takes no checkpoint (there is no consistent
-    cut without stopping the pool), so [ckpt] / [resume] apply to the
-    sequential engine only.  Both engines return the same summary type
-    and agree on every verdict and count (asserted by the differential
-    suite). *)
+    all-distinct inputs the symmetry group is trivial).  The sweep is the
+    sequential DFS of {!Modelcheck.Explorer.Make.check_all_wirings}, so
+    [governor], [ckpt] and [resume] give it the full durable-run
+    contract. *)
 let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?(domains = 1) ?governor ?ckpt ?(resume = false) () =
+    ?(reduction = false) ?governor ?ckpt ?(resume = false) () =
   let inputs = match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let invariant = snapshot_invariant cfg inputs in
-  if domains > 1 then
-    Snapshot_ws_mc.check_all_wirings ?max_states ~reduction ?governor ~domains
-      ~invariant ~cfg ~inputs ()
-  else
-    Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt
-      ~resume ~invariant ~cfg ~inputs ()
+  Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt ~resume
+    ~invariant:(snapshot_invariant cfg inputs)
+    ~cfg ~inputs ()
 
 (** RAM-bounded, safety-only variant of {!verify_snapshot_model}: the
     hash-compacted fingerprint engine

@@ -31,8 +31,8 @@
     {!Make.check_all_wirings}.
 
     The hot path never builds a state record.  Every engine — the BFS
-    {!Make.explore}, the DFS {!Make.check_exhaustive}, {!Make.explore_fp},
-    {!Ws_explorer} and {!Fault_explorer} — expands a popped key through
+    {!Make.explore}, the DFS {!Make.check_exhaustive}, {!Make.explore_fp}
+    and {!Fault_explorer} — expands a popped key through
     one reusable {!Make.stepper}: the parent's local slices are decoded
     once, {!Make.step_key} patches each successor into a buffer (the one
     register a read returns is decoded; only the stepping processor's
@@ -44,15 +44,16 @@
     and [stop_expansion] callbacks (which see the decoded key) and the
     tests that hold the key path to them byte for byte.
 
-    Two scaling levers sit on top of the sequential passes: the opt-in
+    Two scaling levers sit on top of these passes: the opt-in
     [~reduction] flag quotients the space by the wiring's anonymity
     symmetries ({!Canon}; sound because canonical keys are orbit minima
-    under genuine automorphisms, see DESIGN.md), and {!Ws_explorer} runs
-    the BFS on a pool of OCaml 5 domains.  Under reduction, invariants and
-    [stop_expansion] predicates must themselves be symmetric — invariant
-    under permuting same-input processors together with the induced
-    register relabelling — which holds for every property shipped here
-    (containment, agreement, memory-content sets, timestamp bounds). *)
+    under genuine automorphisms, see DESIGN.md), and {!Make.explore_fp}
+    bounds the visited set's RAM by hash compaction.  Under reduction,
+    invariants and [stop_expansion] predicates must themselves be
+    symmetric — invariant under permuting same-input processors together
+    with the induced register relabelling — which holds for every
+    property shipped here (containment, agreement, memory-content sets,
+    timestamp bounds). *)
 
 (** A protocol whose states can be exhaustively explored: local states and
     register values serialize to fixed-width byte strings.  Codecs must be
@@ -100,11 +101,10 @@ type summary = {
   max_space_states : int;
   total_transitions : int;
   terminal_states : int;
-  all_wait_free : bool;
 }
-(** Aggregate of a [check_all_wirings] sweep.  Defined outside the functor
-    so the sequential and parallel engines ({!Ws_explorer}) share one
-    summary type and can be swapped behind a single interface. *)
+(** Aggregate of a [check_all_wirings] sweep.  There is no wait-freedom
+    field: a cycle ends the sweep with an error, so every [Ok] summary
+    is wait-free. *)
 
 let empty_summary =
   {
@@ -113,13 +113,11 @@ let empty_summary =
     max_space_states = 0;
     total_transitions = 0;
     terminal_states = 0;
-    all_wait_free = true;
   }
 
 (** Fold one clean wiring's counts into a sweep summary. *)
 let add_wiring s ~states ~transitions ~terminals =
   {
-    s with
     wirings_checked = s.wirings_checked + 1;
     total_states = s.total_states + states;
     max_space_states = max s.max_space_states states;
@@ -127,7 +125,10 @@ let add_wiring s ~states ~transitions ~terminals =
     terminal_states = s.terminal_states + terminals;
   }
 
-(** The DFS sweep's checkpoint section: 6 ints after the wiring index. *)
+(** The DFS sweep's checkpoint section: 6 ints after the wiring index.
+    The sixth is a constant [1], ignored on load — it was a wait-freedom
+    flag that every resumable position held as [1] — so the section keeps
+    its layout and older checkpoints resume. *)
 let sweep_codec =
   {
     Sweep.section = "sweep";
@@ -140,7 +141,7 @@ let sweep_codec =
           s.max_space_states;
           s.total_transitions;
           s.terminal_states;
-          (if s.all_wait_free then 1 else 0);
+          1;
         |]);
     decode =
       (fun a ->
@@ -150,7 +151,6 @@ let sweep_codec =
           max_space_states = a.(2);
           total_transitions = a.(3);
           terminal_states = a.(4);
-          all_wait_free = a.(5) = 1;
         });
   }
 
@@ -168,9 +168,9 @@ type fp_summary = {
   fp_spill_bytes : int;
 }
 (** Aggregate of a {!Make.check_all_wirings_fp} sweep.  The fingerprint
-    engine stores no edges, so — unlike {!summary} — there is no
-    wait-freedom verdict: it is a safety-only engine whose answer is
-    qualified by [fp_omission_bound]. *)
+    engine stores no edges, so — unlike {!Make.check_all_wirings}, whose
+    [Ok] means wait-free — it decides no wait-freedom verdict: it is a
+    safety-only engine whose answer is qualified by [fp_omission_bound]. *)
 
 let empty_fp_summary =
   {

@@ -1,10 +1,9 @@
 (** Strongly connected components of an explicit graph in CSR form.
 
-    Shared by the sequential {!Explorer} (wait-freedom as a [p]-edge inside
-    an SCC) and the parallel {!Ws_explorer} (which shards exploration but
-    runs this pass sequentially over the merged edge image: the SCC pass is
-    linear in the graph and never dominates exploration).  Iterative
-    Tarjan — the state graphs run to millions of nodes, so no recursion. *)
+    Used by {!Explorer} to decide wait-freedom (a [p]-edge inside an SCC)
+    and to find the fair cycles of the liveness checks; the pass is linear
+    in the graph and never dominates exploration.  Iterative Tarjan — the
+    state graphs run to millions of nodes, so no recursion. *)
 
 (** [tarjan ~n ~off ~adj] labels the [n] nodes of the graph whose
     out-neighbours of [u] are [adj (off u) .. adj (off (u+1) - 1)] with

@@ -1,7 +1,7 @@
 (** Arena-backed visited-state tables for the explicit-state explorers.
 
-    Every engine in this library ({!Explorer}'s BFS and DFS passes,
-    {!Fault_explorer}, each {!Ws_explorer} shard) needs the same data
+    Every exact engine in this library ({!Explorer}'s BFS and DFS passes,
+    {!Fault_explorer}) needs the same data
     structure: a set of fixed-width byte keys with a dense integer id per
     key (id = insertion order), O(1) membership, and the ability to read a
     key back from its id (for expanding popped states and for concretizing
@@ -37,9 +37,8 @@
     string.
 
     The table is deliberately minimal: no deletion, no satellite values
-    (the dense id {e is} the value), single-writer.  For cross-domain use,
-    shard by key ownership as {!Ws_explorer} does — one table per domain,
-    never shared. *)
+    (the dense id {e is} the value), single-writer: a table belongs to
+    one domain and is never shared. *)
 
 type t
 

@@ -137,7 +137,7 @@ end
     it is a real execution, i.e. every listed processor is enabled when it
     moves and the steps land where the checker said they would.  The
     differential suite replays every counterexample produced by the
-    sequential, reduced and parallel engines through this module. *)
+    BFS and DFS engines, reduced or not, through this module. *)
 module Replay (P : Explorer.CHECKABLE) = struct
   module E = Explorer.Make (P)
 

@@ -23,7 +23,7 @@ expect() {
 
 # clean passes
 expect 0 check-snapshot -n 2
-expect 0 check-snapshot -n 2 --par 2
+expect 0 check-snapshot -n 2 --reduce
 expect 0 check-consensus -n 2
 expect 0 feasibility --quick
 expect 0 inductive --check -n 2

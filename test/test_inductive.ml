@@ -398,8 +398,7 @@ let test_prune_parity_core_sweep () =
   Alcotest.(check int) "transitions" base.S.total_transitions
     inside.S.total_transitions;
   Alcotest.(check int) "terminals" base.S.terminal_states
-    inside.S.terminal_states;
-  Alcotest.(check bool) "wait-free" true inside.S.all_wait_free
+    inside.S.terminal_states
 
 (* --- QCheck: the clause evaluator ----------------------------------------- *)
 

@@ -146,8 +146,6 @@ let test_verify_snapshot_n2_all_wirings () =
   match Core.verify_snapshot_model ~n:2 () with
   | Ok s ->
       Alcotest.(check int) "2 wirings" 2 s.Modelcheck.Explorer.wirings_checked;
-      Alcotest.(check bool) "wait-free everywhere" true
-        s.Modelcheck.Explorer.all_wait_free;
       Alcotest.(check bool) "nontrivial spaces" true
         (s.Modelcheck.Explorer.total_states > 100)
   | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
@@ -155,8 +153,8 @@ let test_verify_snapshot_n2_all_wirings () =
 let test_verify_snapshot_n2_groups () =
   match Core.verify_snapshot_model ~n:2 ~inputs:(Some [| 1; 1 |]) () with
   | Ok s ->
-      Alcotest.(check bool) "single group verified" true
-        s.Modelcheck.Explorer.all_wait_free
+      Alcotest.(check int) "single group verified on both wirings" 2
+        s.Modelcheck.Explorer.wirings_checked
   | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
 
 let test_bfs_and_dfs_agree_on_counts () =
@@ -749,11 +747,10 @@ let key_step_props =
    naive boxed BFS finds; the DFS reports the boxed successor of the
    decoded parent — not the decoded key, which differs from it for codecs
    that drop ghost fields (Consensus drops [rounds] and [input]); the
-   work-stealing, fingerprint and fault engines report states the
-   invariant really rejects with their message. *)
+   fingerprint and fault engines report states the invariant really
+   rejects with their message. *)
 module Violations (P : Modelcheck.Explorer.CHECKABLE) = struct
   module E = Modelcheck.Explorer.Make (P)
-  module Ws = Modelcheck.Ws_explorer.Make (P)
   module F = Modelcheck.Fault_explorer.Make (P)
 
   let key cfg st = E.encode_state cfg st
@@ -834,16 +831,6 @@ module Violations (P : Modelcheck.Explorer.CHECKABLE) = struct
           Alcotest.fail "DFS: reported state is not the boxed reference successor";
         check_message invariant state message
     | _ -> Alcotest.fail "DFS: expected an invariant failure");
-    (match
-       Ws.explore ~invariant ~stop_expansion:stop ~domains:1 ~cfg ~wiring
-         ~inputs ()
-     with
-    | Ws.Ws_invariant_failed { message; trace; _ } ->
-        let final =
-          List.fold_left (fun _ (_, post) -> post) (E.init_state ~cfg ~inputs) trace
-        in
-        check_message invariant final message
-    | _ -> Alcotest.fail "work stealing: expected an invariant failure");
     (match
        E.explore_fp ~invariant ~stop_expansion:stop ~cfg ~wiring ~inputs ()
      with

@@ -1,25 +1,22 @@
-(* Differential tests of the three exploration engines — sequential BFS
-   (Explorer.explore), sequential DFS (Explorer.check_exhaustive) and the
-   work-stealing parallel BFS (Ws_explorer.explore) — with and without
-   symmetry reduction, plus QCheck soundness properties of the Canon
-   orbit-minimum canonicalization itself, a model-based QCheck test of
-   the Chase–Lev work-stealing deque against a sequential oracle, a
-   multi-domain steal stress test, and termination-detection
-   regressions for the work-stealing pool (trivial spaces, violations
-   and governor trips mid-steal must all produce structured results,
-   never a hang).
+(* Differential tests of the exact exploration engines — the sequential
+   BFS (Explorer.explore) and DFS (Explorer.check_exhaustive), with and
+   without symmetry reduction — against the independent reference
+   explorer of test/reference (a naive BFS over boxed states), plus
+   QCheck soundness properties of the Canon orbit-minimum
+   canonicalization itself.
 
    The contract under test: for every checkable protocol, wiring and
-   input assignment, all engines agree on the invariant verdict, the
-   wait-freedom verdict, and — between the unreduced BFS engines — the
-   exact visited-state / transition / terminal counts; reduced runs agree
-   with each other exactly and with unreduced runs on verdicts; and every
-   counterexample trace replays through Witness.Replay to a state that
-   actually violates the invariant.  The fingerprint engine's columns
-   live in test_fingerprint.ml.
+   input assignment, the unreduced BFS matches the reference exactly on
+   visited states, transitions, terminals and the divergent set (at
+   n <= 2); the DFS agrees with the BFS on the wait-freedom verdict and,
+   on acyclic spaces, on the counts; reduced runs never grow the space
+   and keep the verdict; and every counterexample trace replays through
+   Witness.Replay to a state that actually violates the invariant, the
+   BFS one with the minimal length the reference finds.  The fingerprint
+   engine's columns live in test_fingerprint.ml.
 
    Tiny configurations (< 5 s total) run under the @mc-smoke alias inside
-   `dune runtest`; the full 3-processor parity matrix and the unbounded
+   `dune runtest`; the full 3-processor matrix and the unbounded
    3-processor reduction run are gated behind MC_LONG=1 (`make mc-long`). *)
 
 module Canon = Modelcheck.Canon
@@ -28,27 +25,20 @@ let long_mode = Sys.getenv_opt "MC_LONG" <> None
 let qcheck_count = if long_mode then 500 else 120
 
 (* ------------------------------------------------------------------ *)
-(* The differential harness, generic in the checkable protocol.       *)
+(* The harness, generic in the checkable protocol.                    *)
 (* ------------------------------------------------------------------ *)
 
-module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
+module Against_reference (P : Modelcheck.Explorer.CHECKABLE) = struct
   module E = Modelcheck.Explorer.Make (P)
-  module Ws = Modelcheck.Ws_explorer.Make (P)
+  module Ref = Reference.Ref_explorer.Make (P)
   module Replay = Modelcheck.Witness.Replay (P)
-
-  type verdicts = {
-    states : int;
-    transitions : int;
-    terminals : int;
-    divergent : int list;
-  }
 
   let seq_bfs ?invariant ?stop_expansion ?(reduction = false) ~cfg ~wiring
       ~inputs () =
     match E.explore ?invariant ?stop_expansion ~reduction ~cfg ~wiring ~inputs () with
     | E.Explored sp ->
         {
-          states = E.state_count sp;
+          Ref.states = E.state_count sp;
           transitions = E.transition_count sp;
           terminals = List.length sp.E.terminal;
           divergent = E.divergent_processors sp;
@@ -59,42 +49,35 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
     | E.State_limit k -> Alcotest.failf "sequential BFS: state limit %d" k
     | E.Exhausted _ -> Alcotest.fail "sequential BFS: unexpected exhaustion"
 
-  let ws_bfs ?invariant ?stop_expansion ?(reduction = false) ~domains ~cfg
-      ~wiring ~inputs () =
-    match
-      Ws.explore ?invariant ?stop_expansion ~reduction ~domains ~cfg ~wiring
-        ~inputs ()
-    with
-    | Ws.Ws_ok { stats; divergent; _ } ->
-        {
-          states = stats.Ws.states;
-          transitions = stats.Ws.transitions;
-          terminals = stats.Ws.terminals;
-          divergent;
-        }
-    | Ws.Ws_invariant_failed { message; _ } ->
-        Alcotest.failf "work-stealing BFS: unexpected invariant failure: %s"
-          message
-    | Ws.Ws_state_limit k ->
-        Alcotest.failf "work-stealing BFS: state limit %d" k
-    | Ws.Ws_exhausted _ ->
-        Alcotest.fail "work-stealing BFS: unexpected exhaustion"
+  let reference_counts ?invariant ?stop_expansion ~cfg ~wiring ~inputs () =
+    match Ref.explore ?invariant ?stop_expansion ~cfg ~wiring ~inputs () with
+    | Ref.Clean c -> c
+    | Ref.Violated { message; _ } ->
+        Alcotest.failf "reference: unexpected invariant failure: %s" message
 
-  let check_verdicts name (a : verdicts) (b : verdicts) ~exact_counts =
-    if exact_counts then begin
-      Alcotest.(check int) (name ^ ": states") a.states b.states;
-      Alcotest.(check int) (name ^ ": transitions") a.transitions b.transitions;
-      Alcotest.(check int) (name ^ ": terminals") a.terminals b.terminals
-    end;
-    Alcotest.(check (list int)) (name ^ ": divergent set") a.divergent b.divergent
+  let check_counts name (expected : Ref.counts) (got : Ref.counts) =
+    Alcotest.(check int) (name ^ ": states") expected.states got.states;
+    Alcotest.(check int)
+      (name ^ ": transitions")
+      expected.transitions got.transitions;
+    Alcotest.(check int) (name ^ ": terminals") expected.terminals got.terminals;
+    Alcotest.(check (list int))
+      (name ^ ": divergent set")
+      expected.divergent got.divergent
 
-  (* Full matrix on one (wiring, inputs) cell: sequential vs work-stealing
-     at each domain count, unreduced (exact count parity) and reduced
-     (exact parity between reduced runs, verdict parity against
-     unreduced); plus DFS verdict agreement on acyclic spaces. *)
-  let cell ?invariant ?stop_expansion ?(domain_counts = [ 1; 2; 4 ]) ~name ~cfg
-      ~wiring ~inputs () =
+  (* One (wiring, inputs) cell: the unreduced BFS against the reference
+     (exact counts and divergent set), the reduced BFS against the
+     unreduced one (never larger, same verdict), and the DFS verdict and
+     counts against the BFS.  The reference keeps every boxed state, so
+     the 3-processor cells pass [~reference:false] and rest on the
+     BFS/DFS agreement. *)
+  let cell ?invariant ?stop_expansion ?(reference = true) ~name ~cfg ~wiring
+      ~inputs () =
     let seq = seq_bfs ?invariant ?stop_expansion ~cfg ~wiring ~inputs () in
+    if reference then
+      check_counts (name ^ " vs reference")
+        (reference_counts ?invariant ?stop_expansion ~cfg ~wiring ~inputs ())
+        seq;
     let red =
       seq_bfs ?invariant ?stop_expansion ~reduction:true ~cfg ~wiring ~inputs ()
     in
@@ -105,38 +88,19 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
     Alcotest.(check bool)
       (name ^ ": reduced/unreduced wait-freedom verdicts agree")
       (seq.divergent = []) (red.divergent = []);
-    List.iter
-      (fun domains ->
-        let nm = Printf.sprintf "%s par%d" name domains in
-        (* Exact count parity — state ownership and edge recording are
-           independent of steal order. *)
-        let ws =
-          ws_bfs ?invariant ?stop_expansion ~domains ~cfg ~wiring ~inputs ()
-        in
-        check_verdicts (nm ^ " ws") seq ws ~exact_counts:true;
-        let wsr =
-          ws_bfs ?invariant ?stop_expansion ~reduction:true ~domains ~cfg
-            ~wiring ~inputs ()
-        in
-        check_verdicts (nm ^ " ws reduced") red wsr ~exact_counts:true)
-      domain_counts;
-    (* DFS engine: verdict-level agreement (cycle <-> nonempty divergent
-       set; states/transitions equal on every unbounded run). *)
     match
       E.check_exhaustive ?invariant ?stop_expansion ~cfg ~wiring ~inputs ()
     with
     | E.Dfs_ok s ->
         Alcotest.(check (list int)) (name ^ ": DFS acyclic = BFS wait-free") []
           seq.divergent;
-        if stop_expansion = None then begin
-          Alcotest.(check int) (name ^ ": DFS state count") seq.states s.E.dfs_states;
-          Alcotest.(check int)
-            (name ^ ": DFS transition count")
-            seq.transitions s.E.dfs_transitions;
-          Alcotest.(check int)
-            (name ^ ": DFS terminal count")
-            seq.terminals s.E.dfs_terminals
-        end
+        Alcotest.(check int) (name ^ ": DFS state count") seq.states s.E.dfs_states;
+        Alcotest.(check int)
+          (name ^ ": DFS transition count")
+          seq.transitions s.E.dfs_transitions;
+        Alcotest.(check int)
+          (name ^ ": DFS terminal count")
+          seq.terminals s.E.dfs_terminals
     | E.Dfs_cycle _ ->
         Alcotest.(check bool) (name ^ ": DFS cycle = BFS divergence") true
           (seq.divergent <> [])
@@ -145,11 +109,13 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
     | E.Dfs_state_limit k -> Alcotest.failf "%s: DFS state limit %d" name k
     | E.Dfs_exhausted _ -> Alcotest.failf "%s: DFS unexpected exhaustion" name
 
-  (* Counterexample parity on a violating configuration: all engines must
-     report the violation, and every trace must replay through
-     Witness.Replay to a state the invariant rejects. *)
-  let violation_cell ?(domain_counts = [ 1; 2; 4 ]) ?(reduction = false) ~name
-      ~cfg ~wiring ~inputs ~invariant () =
+  (* Counterexamples on a violating configuration: both engines must
+     report the violation, every trace must replay through
+     Witness.Replay to a state the invariant rejects, and the BFS trace
+     (concretized, under reduction) must have the minimal length the
+     unreduced reference finds. *)
+  let violation_cell ?(reduction = false) ~name ~cfg ~wiring ~inputs
+      ~invariant () =
     let replay_and_check nm path =
       let final = Replay.final ~cfg ~wiring ~inputs path in
       match invariant final with
@@ -157,11 +123,19 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
       | Ok () ->
           Alcotest.failf "%s: replayed trace ends in a non-violating state" nm
     in
+    let min_depth =
+      match Ref.explore ~invariant ~cfg ~wiring ~inputs () with
+      | Ref.Violated { depth; _ } -> depth
+      | Ref.Clean _ -> Alcotest.failf "%s: the reference missed the violation" name
+    in
     (match E.explore ~invariant ~reduction ~cfg ~wiring ~inputs () with
     | E.Invariant_failed (_, v) ->
-        replay_and_check (name ^ " seq-bfs") (List.map fst v.E.trace)
+        let path = List.map fst v.E.trace in
+        Alcotest.(check int) (name ^ ": BFS trace is minimal") min_depth
+          (List.length path);
+        replay_and_check (name ^ " seq-bfs") path
     | _ -> Alcotest.failf "%s: sequential BFS missed the violation" name);
-    (match E.check_exhaustive ~invariant ~reduction ~cfg ~wiring ~inputs () with
+    match E.check_exhaustive ~invariant ~reduction ~cfg ~wiring ~inputs () with
     | E.Dfs_invariant_failed { path; state; _ } ->
         replay_and_check (name ^ " seq-dfs") path;
         (* The reported state must be the replayed endpoint (regression
@@ -172,24 +146,7 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
           (name ^ ": DFS state matches its own path")
           (E.encode_state cfg state)
           (E.encode_state cfg final)
-    | _ -> Alcotest.failf "%s: DFS missed the violation" name);
-    List.iter
-      (fun domains ->
-        match
-          Ws.explore ~invariant ~reduction ~domains ~cfg ~wiring ~inputs ()
-        with
-        | Ws.Ws_invariant_failed { trace; _ } ->
-            (* Work-stealing traces are valid executions but not
-               necessarily shortest (steals abandon layer order), so
-               replay only — no minimal-length assertion. *)
-            replay_and_check
-              (Printf.sprintf "%s ws%d" name domains)
-              (List.map fst trace)
-        | _ ->
-            Alcotest.failf
-              "%s: work-stealing BFS (%d domains) missed the violation" name
-              domains)
-      domain_counts
+    | _ -> Alcotest.failf "%s: DFS missed the violation" name
 end
 
 (* ------------------------------------------------------------------ *)
@@ -197,11 +154,11 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Snap = Algorithms.Snapshot
-module SnapDiff = Diff (Modelcheck.Codecs.Snapshot)
-module WsDiff = Diff (Modelcheck.Codecs.Write_scan)
-module DcDiff = Diff (Modelcheck.Codecs.Double_collect)
-module ConsDiff = Diff (Modelcheck.Codecs.Consensus)
-module RenDiff = Diff (Modelcheck.Codecs.Renaming)
+module SnapDiff = Against_reference (Modelcheck.Codecs.Snapshot)
+module WsDiff = Against_reference (Modelcheck.Codecs.Write_scan)
+module DcDiff = Against_reference (Modelcheck.Codecs.Double_collect)
+module ConsDiff = Against_reference (Modelcheck.Codecs.Consensus)
+module RenDiff = Against_reference (Modelcheck.Codecs.Renaming)
 
 let wirings2 = Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true
 let wirings3 = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true
@@ -212,7 +169,7 @@ let test_snapshot_n2_matrix () =
     (fun wiring ->
       List.iter
         (fun inputs ->
-          SnapDiff.cell ~domain_counts:[ 1; 2; 4 ]
+          SnapDiff.cell
             ~name:
               (Fmt.str "snapshot n=2 %a %a" Anonmem.Wiring.pp wiring
                  Fmt.(Dump.array int)
@@ -246,7 +203,7 @@ let test_snapshot_n3_bounded () =
     (fun wiring ->
       List.iter
         (fun inputs ->
-          SnapDiff.cell
+          SnapDiff.cell ~reference:false
             ~name:
               (Fmt.str "snapshot n=3 lvl<%d %a %a" level Anonmem.Wiring.pp
                  wiring
@@ -258,15 +215,15 @@ let test_snapshot_n3_bounded () =
     some_wirings
 
 let test_snapshot_n3_full_matrix_long () =
-  (* The full 3-processor parity matrix — every wiring with processor 0
-     pinned, level-2-bounded spaces, sequential vs parallel vs reduced. *)
+  (* The full 3-processor matrix — every wiring with processor 0 pinned,
+     level-2-bounded spaces, BFS vs DFS vs reduced. *)
   if not long_mode then ()
   else begin
     let cfg = Snap.standard ~n:3 in
     let inputs = [| 1; 1; 1 |] in
     List.iter
       (fun wiring ->
-        SnapDiff.cell
+        SnapDiff.cell ~reference:false
           ~name:(Fmt.str "matrix %a" Anonmem.Wiring.pp wiring)
           ~invariant:(Core.snapshot_invariant cfg inputs)
           ~stop_expansion:(snap3_stop 2) ~cfg ~wiring ~inputs ())
@@ -354,6 +311,27 @@ let test_renaming_matrix () =
         ~cfg ~wiring ~inputs:[| 1; 1 |] ())
     wirings2
 
+let test_single_state_space () =
+  (* Degenerate space: expansion stopped at the initial state.  One
+     state, no transitions, no terminals (a stopped state is never
+     expanded), trivially wait-free — in both engines and the
+     reference. *)
+  let cfg = Snap.standard ~n:2 in
+  SnapDiff.cell ~name:"single-state space"
+    ~stop_expansion:(fun _ -> true)
+    ~cfg
+    ~wiring:(Anonmem.Wiring.identity ~n:2 ~m:2)
+    ~inputs:[| 1; 2 |] ();
+  match
+    SnapDiff.reference_counts
+      ~stop_expansion:(fun _ -> true)
+      ~cfg
+      ~wiring:(Anonmem.Wiring.identity ~n:2 ~m:2)
+      ~inputs:[| 1; 2 |] ()
+  with
+  | { states = 1; transitions = 0; terminals = 0; divergent = [] } -> ()
+  | _ -> Alcotest.fail "reference: expected one unexpanded state"
+
 (* --- counterexamples: planted bugs found, traces replay ------------- *)
 
 let no_output_invariant cfg (st : SnapDiff.E.state) =
@@ -365,7 +343,7 @@ let test_planted_snapshot_counterexample () =
   let cfg = Snap.standard ~n:2 in
   List.iter
     (fun wiring ->
-      SnapDiff.violation_cell ~domain_counts:[ 1; 2; 4 ]
+      SnapDiff.violation_cell
         ~name:(Fmt.str "planted snapshot %a" Anonmem.Wiring.pp wiring)
         ~cfg ~wiring ~inputs:[| 1; 2 |]
         ~invariant:(no_output_invariant cfg) ())
@@ -499,204 +477,6 @@ let test_snapshot3_nd_planted_search () =
     Alcotest.(check bool) "cyclic refinement: C2 refutation slice" true
       (r = None)
   end
-
-(* ------------------------------------------------------------------ *)
-(* The work-stealing deque and pool termination.                      *)
-(* ------------------------------------------------------------------ *)
-
-module Deque = Modelcheck.Ws_explorer.Deque
-module Gov = Modelcheck.Governor
-
-(* Model-based: a random push/pop/steal script applied to the deque and
-   to a list oracle (top at the head, bottom at the tail).  Without
-   concurrency every CAS is uncontended, so pop must return the newest
-   element, steal the oldest, and both must agree with the oracle
-   exactly — including across buffer growth (capacity starts at 8). *)
-let prop_deque_sequential_model =
-  QCheck.Test.make ~name:"deque: push/pop/steal vs sequential oracle"
-    ~count:qcheck_count
-    QCheck.(list_of_size Gen.(0 -- 200) (int_bound 2))
-    (fun ops ->
-      let q = Deque.create ~capacity:8 () in
-      let model = ref [] in
-      let counter = ref 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | 0 ->
-              incr counter;
-              Deque.push q !counter;
-              model := !model @ [ !counter ];
-              Deque.size q = List.length !model
-          | 1 ->
-              let expect =
-                match List.rev !model with
-                | [] -> None
-                | x :: rest ->
-                    model := List.rev rest;
-                    Some x
-              in
-              Deque.pop q = expect && Deque.size q = List.length !model
-          | _ ->
-              let expect =
-                match !model with
-                | [] -> None
-                | x :: rest ->
-                    model := rest;
-                    Some x
-              in
-              Deque.steal q = expect && Deque.size q = List.length !model)
-        ops)
-
-let test_ws_deque_steal_stress () =
-  (* One owner pushing (and occasionally popping) [0, n) while three
-     thief domains hammer [steal] on the same deque: every item must be
-     consumed exactly once — no loss, no duplication — and the test must
-     terminate (a lost item would hang the consumed-counter loops, so
-     both loops carry a bail-out that fails the multiset check). *)
-  let n = 10_000 in
-  let q = Deque.create () in
-  let consumed = Atomic.make 0 in
-  let thief () =
-    let mine = ref [] in
-    let tries = ref 0 in
-    while Atomic.get consumed < n && !tries < 200_000_000 do
-      incr tries;
-      match Deque.steal q with
-      | Some x ->
-          mine := x :: !mine;
-          Atomic.incr consumed
-      | None -> Domain.cpu_relax ()
-    done;
-    !mine
-  in
-  let thieves = Array.init 3 (fun _ -> Domain.spawn thief) in
-  let mine = ref [] in
-  let take = function
-    | Some x ->
-        mine := x :: !mine;
-        Atomic.incr consumed
-    | None -> ()
-  in
-  for i = 0 to n - 1 do
-    Deque.push q i;
-    if i land 7 = 0 then take (Deque.pop q)
-  done;
-  let tries = ref 0 in
-  while Atomic.get consumed < n && !tries < 200_000_000 do
-    incr tries;
-    match Deque.pop q with
-    | Some _ as r -> take r
-    | None -> Domain.cpu_relax ()
-  done;
-  let stolen = Array.to_list thieves |> List.concat_map Domain.join in
-  let all = List.sort compare (!mine @ stolen) in
-  Alcotest.(check (list int))
-    "every pushed item consumed exactly once"
-    (List.init n Fun.id) all
-
-let test_ws_single_state_space () =
-  (* Degenerate frontier: expansion stopped at the initial state.  Every
-     domain count must detect global quiescence from the in-flight
-     counter (one unit, transmuted into the root's frontier item and
-     released unexpanded) and return a structured Ws_ok — not hang. *)
-  let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let module W = SnapDiff.Ws in
-  List.iter
-    (fun domains ->
-      match
-        W.explore ~stop_expansion:(fun _ -> true) ~domains ~cfg ~wiring ~inputs
-          ()
-      with
-      | W.Ws_ok { stats; wait_free; divergent } ->
-          Alcotest.(check int)
-            (Fmt.str "ws%d: single state" domains)
-            1 stats.W.states;
-          Alcotest.(check int)
-            (Fmt.str "ws%d: no transitions" domains)
-            0 stats.W.transitions;
-          (* A stopped state is not terminal: it was never expanded. *)
-          Alcotest.(check int)
-            (Fmt.str "ws%d: no terminals" domains)
-            0 stats.W.terminals;
-          Alcotest.(check bool)
-            (Fmt.str "ws%d: trivially wait-free" domains)
-            true
-            (wait_free && divergent = [])
-      | _ -> Alcotest.failf "ws%d: single-state space must return Ws_ok" domains)
-    [ 1; 2; 4 ]
-
-let test_ws_governor_trip_mid_steal () =
-  (* A 25-state quota on a 2827-state space with 4 domains: some worker
-     trips the governor mid-run (possibly on a stolen item) and the pool
-     must drain to a structured Ws_exhausted with the quota reason —
-     the sticky first-cause-wins stop cell is what is under test. *)
-  let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let module W = SnapDiff.Ws in
-  let g = Gov.create ~quota:25 () in
-  (match W.explore ~governor:g ~domains:4 ~cfg ~wiring ~inputs () with
-  | W.Ws_exhausted { reason; states } ->
-      Alcotest.(check string) "quota reason" "quota"
-        (Gov.reason_to_string reason);
-      Alcotest.(check bool) "made progress before tripping" true (states > 0)
-  | _ -> Alcotest.fail "quota trip must yield Ws_exhausted");
-  Gov.dispose g;
-  (* Sweep level: the trip surfaces as the shared structured error, and
-     its message keeps the shared shape. *)
-  let g = Gov.create ~quota:25 () in
-  (match
-     SnapDiff.Ws.check_all_wirings ~governor:g ~domains:2 ~cfg ~inputs ()
-   with
-  | Error (Modelcheck.Explorer.Budget_exhausted { reason; message = msg }) ->
-      Alcotest.(check string) "sweep quota reason" "quota"
-        (Gov.reason_to_string reason);
-      Alcotest.(check bool)
-        (Fmt.str "sweep error names exhaustion: %s" msg)
-        true
-        (String.length msg >= 9 && String.sub msg 0 9 = "exhausted")
-  | Error e ->
-      Alcotest.failf "expected Budget_exhausted, got: %s"
-        (Modelcheck.Explorer.sweep_error_message e)
-  | Ok _ -> Alcotest.fail "quota-bounded sweep cannot finish");
-  Gov.dispose g
-
-let test_ws_state_limit_mid_steal () =
-  let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let module W = SnapDiff.Ws in
-  match W.explore ~max_states:100 ~domains:4 ~cfg ~wiring ~inputs () with
-  | W.Ws_state_limit k ->
-      (* Concurrent interns may overshoot the limit by in-flight creates,
-         never undershoot. *)
-      Alcotest.(check bool) "limit reached" true (k >= 100)
-  | _ -> Alcotest.fail "state limit must yield Ws_state_limit"
-
-let test_ws_violation_mid_steal () =
-  (* A planted violation with 4 domains on one core: the first worker to
-     see it (owner or thief) publishes through the violation cell, the
-     stop cell short-circuits the pool, and the parent-chain trace
-     replays to a state the invariant rejects. *)
-  let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let module W = SnapDiff.Ws in
-  let invariant = no_output_invariant cfg in
-  match W.explore ~invariant ~domains:4 ~cfg ~wiring ~inputs () with
-  | W.Ws_invariant_failed { trace; message; _ } ->
-      Alcotest.(check bool) "planted message" true
-        (String.length message > 0);
-      let final =
-        SnapDiff.Replay.final ~cfg ~wiring ~inputs (List.map fst trace)
-      in
-      (match invariant final with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "ws trace replays to a non-violating state")
-  | _ -> Alcotest.fail "4-domain pool missed the planted violation"
 
 (* ------------------------------------------------------------------ *)
 (* Canon soundness properties (QCheck).                               *)
@@ -839,7 +619,6 @@ let test_processor_limits_structured () =
      overflow the fault explorer's crash-mask byte.  Both must be
      structured errors, not silent corruption. *)
   let module WsE = WsDiff.E in
-  let module WsWs = WsDiff.Ws in
   let module WsFE = Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Write_scan) in
   let cfg16 = Algorithms.Write_scan.cfg ~n:16 ~m:2 in
   let wiring16 = Anonmem.Wiring.identity ~n:16 ~m:2 in
@@ -857,8 +636,6 @@ let test_processor_limits_structured () =
       WsE.explore ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
   expect_unsupported "check_exhaustive" (fun () ->
       WsE.check_exhaustive ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
-  expect_unsupported "ws explore" (fun () ->
-      WsWs.explore ~domains:2 ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
   let cfg9 = Algorithms.Write_scan.cfg ~n:9 ~m:2 in
   expect_unsupported "fault explore (crash-mask byte)" (fun () ->
       WsFE.explore
@@ -879,30 +656,59 @@ let test_processor_limits_structured () =
 (* --- Core-level engine switching ------------------------------------ *)
 
 let test_core_engine_parity () =
-  let run ?(reduction = false) ?(domains = 1) () =
-    match Core.verify_snapshot_model ~n:2 ~reduction ~domains () with
+  (* Core's two snapshot sweeps — the exact DFS sweep and the fingerprint
+     sweep — unreduced and reduced, on both n=2 input shapes: the exact
+     unreduced totals equal the reference summed over the same wirings,
+     and each fingerprint sweep reports its exact twin's counts. *)
+  let module X = Modelcheck.Explorer in
+  let cfg = Snap.standard ~n:2 in
+  let ok = function
     | Ok s -> s
-    | Error e -> Alcotest.fail (Modelcheck.Explorer.sweep_error_message e)
+    | Error e -> Alcotest.fail (X.sweep_error_message e)
   in
-  let seq = run () in
-  let par = run ~domains:2 () in
-  Alcotest.(check int) "total states" seq.Modelcheck.Explorer.total_states
-    par.Modelcheck.Explorer.total_states;
-  Alcotest.(check int) "total transitions"
-    seq.Modelcheck.Explorer.total_transitions
-    par.Modelcheck.Explorer.total_transitions;
-  Alcotest.(check int) "terminal states"
-    seq.Modelcheck.Explorer.terminal_states
-    par.Modelcheck.Explorer.terminal_states;
-  let red = run ~reduction:true () in
-  let parred = run ~reduction:true ~domains:2 () in
-  Alcotest.(check int) "reduced totals agree across engines"
-    red.Modelcheck.Explorer.total_states parred.Modelcheck.Explorer.total_states;
-  Alcotest.(check bool) "all engines verify wait-freedom" true
-    (seq.Modelcheck.Explorer.all_wait_free
-    && par.Modelcheck.Explorer.all_wait_free
-    && red.Modelcheck.Explorer.all_wait_free
-    && parred.Modelcheck.Explorer.all_wait_free)
+  List.iter
+    (fun inputs ->
+      let nm = Fmt.str "inputs %a" Fmt.(Dump.array int) inputs in
+      let exact reduction =
+        ok (Core.verify_snapshot_model ~n:2 ~inputs:(Some inputs) ~reduction ())
+      in
+      let fp reduction =
+        ok
+          (Core.verify_snapshot_model_fp ~n:2 ~inputs:(Some inputs) ~reduction
+             ())
+      in
+      let states, transitions, terminals =
+        List.fold_left
+          (fun (s, t, z) wiring ->
+            let c =
+              SnapDiff.reference_counts
+                ~invariant:(Core.snapshot_invariant cfg inputs)
+                ~cfg ~wiring ~inputs ()
+            in
+            Alcotest.(check (list int)) (nm ^ ": reference wait-free") []
+              c.divergent;
+            (s + c.states, t + c.transitions, z + c.terminals))
+          (0, 0, 0) wirings2
+      in
+      let seq = exact false in
+      Alcotest.(check (list int))
+        (nm ^ ": exact sweep = reference totals")
+        [ states; transitions; terminals ]
+        [ seq.X.total_states; seq.X.total_transitions; seq.X.terminal_states ];
+      List.iter
+        (fun reduction ->
+          let e = exact reduction and f = fp reduction in
+          Alcotest.(check (list int))
+            (Fmt.str "%s%s: fingerprint sweep = exact sweep" nm
+               (if reduction then " reduced" else ""))
+            [ e.X.wirings_checked; e.X.total_states; e.X.total_transitions ]
+            [ f.X.fp_wirings; f.X.fp_total_states; f.X.fp_total_transitions ])
+        [ false; true ];
+      Alcotest.(check bool)
+        (nm ^ ": reduction never grows the sweep")
+        true
+        ((exact true).X.total_states <= seq.X.total_states))
+    [ [| 1; 2 |]; [| 1; 1 |] ]
 
 let () =
   Alcotest.run "par_explorer"
@@ -925,6 +731,8 @@ let () =
           Alcotest.test_case "renaming" `Quick test_renaming_matrix;
           Alcotest.test_case "Core engine switching parity" `Quick
             test_core_engine_parity;
+          Alcotest.test_case "single-state space" `Quick
+            test_single_state_space;
         ] );
       ( "counterexamples",
         [
@@ -940,20 +748,6 @@ let () =
             test_fault_explorer_reduced_witness;
           Alcotest.test_case "snapshot3 ND search" `Quick
             test_snapshot3_nd_planted_search;
-        ] );
-      ( "work-stealing",
-        [
-          QCheck_alcotest.to_alcotest prop_deque_sequential_model;
-          Alcotest.test_case "deque steal stress, 4 domains" `Quick
-            test_ws_deque_steal_stress;
-          Alcotest.test_case "single-state space terminates" `Quick
-            test_ws_single_state_space;
-          Alcotest.test_case "governor quota trip mid-steal" `Quick
-            test_ws_governor_trip_mid_steal;
-          Alcotest.test_case "state limit mid-steal" `Quick
-            test_ws_state_limit_mid_steal;
-          Alcotest.test_case "violation mid-steal" `Quick
-            test_ws_violation_mid_steal;
         ] );
       ( "canon",
         [

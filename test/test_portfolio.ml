@@ -1,7 +1,7 @@
 (* Differential verification matrix for the literature portfolio
    (Rt_mutex, Naming, Weak_leader): the three engines — sequential BFS,
-   symmetry-reduced sequential, and the work-stealing parallel BFS at
-   1/2/4 domains — must agree on every (task, n, m) cell they all cover; clean
+   symmetry-reduced sequential, and the independent reference explorer of
+   test/reference — must agree on every (task, n, m) cell they all cover; clean
    cells verify, violating cells produce witnesses that replay through
    Witness.Replay; the planted-bug variants are caught with replayable
    counterexamples; and the crash-stop sweeps keep exclusion and
@@ -14,10 +14,7 @@ module Rm = Algorithms.Rt_mutex
 module Nm = Algorithms.Naming
 module Wl = Algorithms.Weak_leader
 module RmE = Modelcheck.Explorer.Make (Modelcheck.Codecs.Rt_mutex)
-module RmPar = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Rt_mutex)
 module RmReplay = Modelcheck.Witness.Replay (Modelcheck.Codecs.Rt_mutex)
-module NmE = Modelcheck.Explorer.Make (Modelcheck.Codecs.Naming)
-module NmPar = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Naming)
 module NmReplay = Modelcheck.Witness.Replay (Modelcheck.Codecs.Naming)
 module WlE = Modelcheck.Explorer.Make (Modelcheck.Codecs.Weak_leader)
 module WlReplay = Modelcheck.Witness.Replay (Modelcheck.Codecs.Weak_leader)
@@ -36,8 +33,46 @@ let verdict_kind = function
 (* The spin loops put real (unfair) cycles in even the deadlock-free
    spaces, so the DFS sweep stops early at the first back edge and its
    partial state count is not comparable; the exact parity bar is the
-   per-wiring sequential BFS against the work-stealing parallel BFS at
-   each domain count, unreduced and reduced. *)
+   per-wiring sequential BFS against the reference explorer — states,
+   transitions, terminals and the divergent set, wiring by wiring. *)
+module Parity (P : Modelcheck.Explorer.CHECKABLE) = struct
+  module E = Modelcheck.Explorer.Make (P)
+  module Ref = Reference.Ref_explorer.Make (P)
+
+  (* Summed state count of the per-wiring BFS spaces, after checking the
+     unreduced ones against the reference. *)
+  let total_states ?(reduction = false) ~name ~invariant ~cfg ~inputs wirings
+      =
+    List.fold_left
+      (fun acc wiring ->
+        let nm = Fmt.str "%s %a" name Anonmem.Wiring.pp wiring in
+        match E.explore ~invariant ~reduction ~cfg ~wiring ~inputs () with
+        | E.Explored sp ->
+            (if not reduction then
+               match Ref.explore ~invariant ~cfg ~wiring ~inputs () with
+               | Ref.Clean c ->
+                   Alcotest.(check (list int))
+                     (nm ^ ": states, transitions, terminals vs reference")
+                     [ c.states; c.transitions; c.terminals ]
+                     [
+                       E.state_count sp;
+                       E.transition_count sp;
+                       List.length sp.E.terminal;
+                     ];
+                   Alcotest.(check (list int))
+                     (nm ^ ": divergent set vs reference")
+                     c.divergent
+                     (E.divergent_processors sp)
+               | Ref.Violated { message; _ } ->
+                   Alcotest.failf "%s: reference found %s" nm message);
+            acc + E.state_count sp
+        | _ -> Alcotest.failf "%s: sequential BFS must stay clean" nm)
+      0 wirings
+end
+
+module Rm_parity = Parity (Modelcheck.Codecs.Rt_mutex)
+module Nm_parity = Parity (Modelcheck.Codecs.Naming)
+
 let test_mutex_clean_cell_all_engines () =
   let n = 2 and m = 3 in
   let cfg = Rm.cfg ~n ~m in
@@ -54,48 +89,13 @@ let test_mutex_clean_cell_all_engines () =
       Alcotest.(check int) "mutex(2,3) reduced: all wirings" 6 wirings
   | v -> Alcotest.failf "mutex(2,3) reduced: %s" (verdict_kind v));
   let wirings = Anonmem.Wiring.enumerate ~n ~m ~fix_first:true in
-  let seq_total reduction =
-    List.fold_left
-      (fun acc wiring ->
-        match RmE.explore ~invariant ~reduction ~cfg ~wiring ~inputs () with
-        | RmE.Explored sp -> acc + RmE.state_count sp
-        | _ -> Alcotest.fail "mutex(2,3): sequential BFS must stay clean")
-      0 wirings
+  let total reduction =
+    Rm_parity.total_states ~reduction ~name:"mutex(2,3)" ~invariant ~cfg
+      ~inputs wirings
   in
-  let seq_states = seq_total false and seq_red_states = seq_total true in
   Alcotest.(check bool)
     "mutex(2,3): reduction never grows the space" true
-    (seq_red_states <= seq_states);
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun reduction ->
-          let nm =
-            Printf.sprintf "mutex(2,3) par%d%s" domains
-              (if reduction then " reduced" else "")
-          in
-          (* The mutex spins, so its spaces are cyclic: sum the per-wiring
-             ws explorations rather than run a wait-free sweep. *)
-          let checked, states =
-            List.fold_left
-              (fun (w, acc) wiring ->
-                match
-                  RmPar.explore ~invariant ~reduction ~domains ~cfg ~wiring
-                    ~inputs ()
-                with
-                | RmPar.Ws_ok { stats; _ } -> (w + 1, acc + stats.RmPar.states)
-                | _ -> Alcotest.failf "%s: ws BFS must stay clean" nm)
-              (0, 0) wirings
-          in
-          Alcotest.(check int)
-            (nm ^ ": wiring count")
-            (List.length wirings) checked;
-          Alcotest.(check int)
-            (nm ^ ": visited-state parity")
-            (if reduction then seq_red_states else seq_states)
-            states)
-        [ false; true ])
-    [ 1; 2; 4 ]
+    (total true <= total false)
 
 let test_naming_clean_cell_all_engines () =
   let n = 2 and m = 3 in
@@ -108,36 +108,9 @@ let test_naming_clean_cell_all_engines () =
   (match Core.verify_naming ~n ~m ~reduction:true () with
   | Core.Verified _ -> ()
   | v -> Alcotest.failf "naming(2,3) reduced: %s" (verdict_kind v));
-  let wirings = Anonmem.Wiring.enumerate ~n ~m ~fix_first:true in
-  let seq_states =
-    List.fold_left
-      (fun acc wiring ->
-        match
-          NmE.explore ~invariant ~reduction:false ~cfg ~wiring ~inputs ()
-        with
-        | NmE.Explored sp -> acc + NmE.state_count sp
-        | _ -> Alcotest.fail "naming(2,3): sequential BFS must stay clean")
-      0 wirings
-  in
-  List.iter
-    (fun domains ->
-      let states =
-        List.fold_left
-          (fun acc wiring ->
-            match
-              NmPar.explore ~invariant ~reduction:false ~domains ~cfg ~wiring
-                ~inputs ()
-            with
-            | NmPar.Ws_ok { stats; _ } -> acc + stats.NmPar.states
-            | _ ->
-                Alcotest.failf "naming(2,3) par%d: ws BFS must stay clean"
-                  domains)
-          0 wirings
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "naming(2,3) par%d: visited-state parity" domains)
-        seq_states states)
-    [ 1; 2; 4 ]
+  ignore
+    (Nm_parity.total_states ~name:"naming(2,3)" ~invariant ~cfg ~inputs
+       (Anonmem.Wiring.enumerate ~n ~m ~fix_first:true))
 
 let test_leader_clean_cell () =
   (match Core.verify_leader ~n:2 ~m:2 () with
