@@ -1,4 +1,4 @@
-.PHONY: build test bench experiments bench-mc bench-fuzz bench-portfolio mc-smoke mc-long fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
+.PHONY: build test bench experiments bench-mc bench-fuzz bench-portfolio mc-smoke mc-long fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility nonatomic resume-smoke coverage clean
 
 build:
 	dune build @all
@@ -51,9 +51,10 @@ mc-smoke:
 	dune build @mc-smoke
 
 # The full differential matrix: every 3-processor wiring, the unbounded
-# single-group 3-processor reduction run, deeper level bounds, a slice of
-# the C2 cyclic-refinement refutation, and 500-case QCheck properties.
-# Several minutes.
+# single-group 3-processor reduction run, deeper level bounds, one wiring
+# of the C2 search under the paper's write order ((1,1,2)/{1} on the
+# identity wiring, pinned at 47,453,305 states, ~1 min and 2 GiB), and
+# 500-case QCheck properties.  Several minutes.
 mc-long:
 	dune build test/test_par_explorer.exe
 	MC_LONG=1 ./_build/default/test/test_par_explorer.exe
@@ -133,6 +134,21 @@ portfolio-long:
 feasibility:
 	dune build bin/anonsim.exe
 	dune exec --no-build bin/anonsim.exe -- feasibility -o FEASIBILITY.json
+
+# Claim 7b (Section 8) decided exhaustively: every non-atomicity
+# candidate (inputs, target) searched over all 36 wirings of the
+# 3-processor instance under the paper's nondeterministic write order,
+# on the packed engine with a 2 GiB visited table.  Prints a witness, a
+# refutation with states per wiring, or an undecided wiring per
+# candidate (exit 3), and tees the report EXPERIMENTS C2 quotes to
+# nonatomic_output.txt.  Budget about 36 minutes per 36-wiring
+# candidate ((1,1,2)/{1} takes ~1 min per wiring) on one core.
+nonatomic:
+	dune build bin/anonsim.exe
+	{ ./_build/default/bin/anonsim.exe check-nonatomic --exhaustive; \
+	  echo $$? > nonatomic_output.status; } | tee nonatomic_output.txt; \
+	  st=$$(cat nonatomic_output.status); rm -f nonatomic_output.status; \
+	  exit $$st
 
 # Kill-and-resume differential smoke: run the quick feasibility sweep to
 # completion for a reference map, run it again but SIGINT it ~1s in (exit

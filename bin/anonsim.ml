@@ -400,28 +400,41 @@ let check_nonatomic_cmd =
       value & flag
       & info [ "exhaustive" ]
           ~doc:
-            "Settle the claim by pruned-reachability search over all wirings \
-             (3 processors only); explores up to ~10^8 states per candidate.")
+            "Settle the claim by pruned-reachability search over all 36 \
+             wirings of the 3-processor instance, under the paper's \
+             nondeterministic write order (each candidate takes about a \
+             minute per wiring and a 2 GiB visited table).  Exits 3 if a \
+             candidate outgrows the table.")
   in
   let run n attempts exhaustive =
     if exhaustive then
-      match Core.find_nonatomic_packed () with
-      | Some (inputs, target, w) ->
-          Printf.printf
-            "exhaustive witness: with inputs (%d,%d,%d), processor %d \
-             returns %s although the memory never contains it\n"
-            inputs.(0) inputs.(1) inputs.(2)
-            (w.Modelcheck.Snapshot3.culprit + 1)
-            (iset_str target);
-          Printf.printf "wiring %s, witness execution of %d steps\n"
-            (Fmt.str "%a" Anonmem.Wiring.pp w.Modelcheck.Snapshot3.wiring)
-            (List.length w.Modelcheck.Snapshot3.path);
-          `Ok ()
-      | None ->
-          Printf.printf
+      if n <> 3 then
+        `Error
+          ( true,
+            Printf.sprintf
+              "--exhaustive searches the 3-processor instance only; drop -n \
+               %d or pass -n 3"
+              n )
+      else begin
+        let witness = ref false and undecided = ref false in
+        Seq.iter
+          (fun (candidate, outcome) ->
+            List.iter print_endline (Core.nonatomic_report candidate outcome);
+            flush stdout;
+            match outcome with
+            | Modelcheck.Snapshot3.Witness _ -> witness := true
+            | Refuted _ -> ()
+            | Undecided _ -> undecided := true)
+          (Core.find_nonatomic_packed ());
+        if !witness then `Ok ()
+        else if !undecided then Stdlib.exit exit_exhausted
+        else begin
+          print_endline
             "no witness in the candidate configurations: each candidate \
-             (inputs, target) was refuted exhaustively over all wirings\n";
+             (inputs, target) was refuted exhaustively over all wirings";
           `Ok ()
+        end
+      end
     else
       match Core.find_nonatomic_execution ~n ~attempts () with
       | Some w ->
@@ -438,16 +451,22 @@ let check_nonatomic_cmd =
              snapshots.\n";
           `Ok ()
       | None ->
-          `Error
-            ( false,
-              "no witness found by sampling (the covering patterns are rare); \
-               run with --exhaustive to settle the claim" )
+          Printf.eprintf
+            "check-nonatomic: no witness in %d sampled executions (--attempts \
+             %d exhausted; the covering patterns are rare under random \
+             schedules): raise --attempts, or run with --exhaustive to settle \
+             the claim\n"
+            attempts attempts;
+          Stdlib.exit exit_exhausted
   in
   Cmd.v
     (Cmd.info "check-nonatomic"
        ~doc:
          "Search for the Section-8 witness that the snapshot algorithm does \
-          not provide atomic memory snapshots.")
+          not provide atomic memory snapshots.  Exits 0 on a witness (or \
+          when $(b,--exhaustive) refutes every candidate), 3 when the \
+          sampler's $(b,--attempts) run out or an exhaustive candidate is \
+          left undecided.")
     Term.(ret (const run $ n_arg ~default:3 $ attempts_arg $ exhaustive_arg))
 
 (* check-consensus: bounded model checking of agreement (extension) *)

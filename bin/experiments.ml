@@ -191,7 +191,7 @@ let claim_c1 () =
             (Fmt.str "%a" Anonmem.Wiring.pp wiring)
             (List.length path)
       | Modelcheck.Snapshot3.Table_full k ->
-          Printf.printf "  wiring %s: table full at %d states\n"
+          Printf.printf "  wiring %s: UNDECIDED, table full at %d states\n"
             (Fmt.str "%a" Anonmem.Wiring.pp wiring)
             k)
     wirings
@@ -237,24 +237,12 @@ let claim_c2 () =
       print_endline
         "no witness in 20k random executions (uniform sampling misses the \
          covering patterns; the exhaustive search below settles it)");
-  if full then begin
-    match Core.find_nonatomic_packed () with
-    | Some (inputs, target, w) ->
-        Printf.printf
-          "exhaustive witness: with inputs (%d,%d,%d) processor %d returns \
-           %s although the memory never contains exactly it\n"
-          inputs.(0) inputs.(1) inputs.(2)
-          (w.Modelcheck.Snapshot3.culprit + 1)
-          (iset_str target);
-        Printf.printf "  wiring %s, witness execution of %d steps\n"
-          (Fmt.str "%a" Anonmem.Wiring.pp w.Modelcheck.Snapshot3.wiring)
-          (List.length w.Modelcheck.Snapshot3.path)
-    | None ->
-        print_endline
-          "exhaustive pruned-reachability search over all 36 wirings refuted \
-           every candidate (inputs, target) configuration — see EXPERIMENTS.md \
-           for the discussion of this negative result"
-  end
+  if full then
+    Seq.iter
+      (fun (candidate, outcome) ->
+        List.iter print_endline (Core.nonatomic_report candidate outcome);
+        flush stdout)
+      (Core.find_nonatomic_packed ())
   else
     print_endline
       "(pass --full for the exhaustive pruned-reachability search over all \

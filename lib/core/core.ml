@@ -804,65 +804,112 @@ let feasibility_map ?(quick = false) ?max_states ?reduction ?wiring_classes
     (Analysis.Feasibility.grids ~quick ())
 
 module Snapshot_witness = Modelcheck.Witness.Search (Algorithms.Snapshot)
-module Snapshot_exhaustive_witness =
-  Modelcheck.Witness.Exhaustive (Modelcheck.Codecs.Snapshot)
 
 let snapshot_memory_set regs =
   Array.fold_left
     (fun acc (v : Algorithms.Snapshot.value) -> Iset.union acc v.view)
     Iset.empty regs
 
-(** Exhaustively search for the Section-8 non-atomicity witness: for each
-    candidate set [target] and each wiring, explore the sub-state-space in
-    which the memory content set never equals [target] and look for a
-    reachable state where a processor has output [target].  A hit is a
-    complete proof of the claim, with a shortest witness execution. *)
-let find_nonatomic_exhaustive ?(n = 3) ?max_states
-    ?(targets = [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ]; [ 1 ]; [ 2 ]; [ 3 ] ]) () =
-  let inputs = Array.init n (fun i -> i + 1) in
-  let cfg = Algorithms.Snapshot.standard ~n in
-  let wirings = Anonmem.Wiring.enumerate ~n ~m:n ~fix_first:true in
-  let rec try_targets = function
-    | [] -> None
-    | t :: rest -> (
-        match
-          Snapshot_exhaustive_witness.find_nonatomic_exhaustive ?max_states
-            ~cfg ~inputs ~memory_set:snapshot_memory_set ~output_set:Fun.id
-            ~target:(Iset.of_list t) ~wirings ()
-        with
-        | Some w -> Some w
-        | None -> try_targets rest)
-  in
-  try_targets targets
+(** The claim-7b candidates, (inputs, target set), in search order.  Group
+    assignments come first: two same-input processors can raise each
+    other's levels while the third keeps covering. *)
+let nonatomic_candidates =
+  [
+    ([| 1; 1; 2 |], [ 1 ]);
+    ([| 1; 2; 2 |], [ 2 ]);
+    ([| 1; 1; 2 |], [ 1; 2 ]);
+    ([| 1; 2; 3 |], [ 1; 2 ]);
+  ]
 
-(** Exhaustive non-atomicity witness search for the paper's 3-processor
-    configuration using the bit-packed checker: for each (inputs, target)
-    candidate, decide by pruned reachability whether some execution makes
-    a processor return [target] although the memory never contains it.
-    Candidates start with group assignments, where two same-input
-    processors can raise each other's levels while the third keeps
-    covering. *)
-let find_nonatomic_packed
-    ?(candidates =
-      [
-        ([| 1; 1; 2 |], [ 1 ]);
-        ([| 1; 2; 2 |], [ 2 ]);
-        ([| 1; 1; 2 |], [ 1; 2 ]);
-        ([| 1; 2; 3 |], [ 1; 2 ]);
-      ]) ?log2_capacity () =
+(** Claim 7b, decided exhaustively for the paper's 3-processor
+    configuration under its nondeterministic write order: for each
+    (inputs, target) candidate, pruned reachability over all 36 wirings
+    ({!Modelcheck.Snapshot3.find_nonatomic}) either finds an execution in
+    which a processor returns [target] although the memory never contains
+    it, refutes the candidate, or runs out of visited-table capacity.  The
+    sequence is lazy (each candidate is searched when it is reached, so
+    callers can report as the run goes) and ends after the first
+    witness. *)
+let find_nonatomic_packed ?log2_capacity () =
   let wirings = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true in
-  let rec go = function
-    | [] -> None
-    | (inputs, target) :: rest -> (
-        let target_mask = Iset.to_bits (Iset.map (fun i -> i - 1) (Iset.of_list target)) in
-        match
+  let rec go candidates () =
+    match candidates with
+    | [] -> Seq.Nil
+    | (inputs, target) :: rest ->
+        let target_mask =
+          Iset.to_bits (Iset.map (fun i -> i - 1) (Iset.of_list target))
+        in
+        let outcome =
           Modelcheck.Snapshot3.find_nonatomic ?log2_capacity ~inputs
             ~target_mask ~wirings ()
-        with
-        | Some w -> Some (inputs, Iset.of_list target, w)
-        | None -> go rest)
+        in
+        let rest =
+          match outcome with
+          | Modelcheck.Snapshot3.Witness _ -> Seq.empty
+          | Refuted _ | Undecided _ -> go rest
+        in
+        Seq.Cons (((inputs, Iset.of_list target), outcome), rest)
   in
-  go candidates
+  go nonatomic_candidates
+
+(** Human-readable report of one {!find_nonatomic_packed} outcome, one
+    line per fact; processors, registers and wiring rows are 1-based. *)
+let nonatomic_report (inputs, target) outcome =
+  let module S = Modelcheck.Snapshot3 in
+  let candidate =
+    Printf.sprintf "inputs (%s), target %s"
+      (String.concat "," (Array.to_list (Array.map string_of_int inputs)))
+      (Iset.to_string target)
+  in
+  let per_wiring refuted =
+    String.concat " "
+      (List.map (fun (s : S.stats) -> string_of_int s.S.states) refuted)
+  in
+  let total refuted =
+    List.fold_left (fun acc (s : S.stats) -> acc + s.S.states) 0 refuted
+  in
+  match outcome with
+  | S.Witness w ->
+      [
+        Printf.sprintf
+          "%s: WITNESS — processor %d returns %s although the memory never \
+           contains it"
+          candidate (w.S.culprit + 1) (Iset.to_string target);
+        Fmt.str "  wiring %a, %d steps as (processor, private register \
+                 written; - for a read), after %d states:"
+          Anonmem.Wiring.pp w.S.wiring (List.length w.S.path)
+          w.S.states_explored;
+        "  "
+        ^ String.concat " "
+            (List.map
+               (fun (p, wrote) ->
+                 Printf.sprintf "(%d,%s)" (p + 1)
+                   (match wrote with
+                   | Some i -> string_of_int (i + 1)
+                   | None -> "-"))
+               w.S.path);
+      ]
+  | S.Refuted refuted ->
+      [
+        Printf.sprintf "%s: refuted exhaustively over %d wiring%s, %d states"
+          candidate (List.length refuted)
+          (if List.length refuted = 1 then "" else "s")
+          (total refuted);
+        "  states per wiring: " ^ per_wiring refuted;
+      ]
+  | S.Undecided { wiring; states; log2_capacity; refuted } ->
+      [
+        Fmt.str
+          "%s: UNDECIDED — the visited table (2^%d slots of 8 bytes) filled \
+           after %d states on wiring %a, wiring %d in search order"
+          candidate log2_capacity states Anonmem.Wiring.pp wiring
+          (List.length refuted + 1);
+        Printf.sprintf
+          "  remedy: raise ~log2_capacity above %d (each step doubles the \
+           table); refuted before it: %d wirings%s"
+          log2_capacity (List.length refuted)
+          (if refuted = [] then "" else ", states per wiring " ^ per_wiring refuted);
+      ]
 
 (** Search for the Section-8 non-atomicity witness: an execution in which
     some processor's snapshot never equalled the set of inputs present in
@@ -870,9 +917,5 @@ let find_nonatomic_packed
 let find_nonatomic_execution ?(n = 3) ?(attempts = 2_000) () =
   let inputs = Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_witness.find_nonatomic ~cfg ~inputs
-    ~memory_set:(fun regs ->
-      Array.fold_left
-        (fun acc (v : Algorithms.Snapshot.value) -> Iset.union acc v.view)
-        Iset.empty regs)
+  Snapshot_witness.find_nonatomic ~cfg ~inputs ~memory_set:snapshot_memory_set
     ~output_set:Fun.id ~attempts ()

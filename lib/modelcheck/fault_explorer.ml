@@ -57,10 +57,6 @@ module Make (P : Explorer.CHECKABLE) = struct
         (** a resource governor tripped; resumable when a checkpoint
             policy was in force *)
 
-  let popcount mask =
-    let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-    go mask 0
-
   (* Parent encoding: (parent_id lsl 5) lor (crash_bit lsl 4) lor pid.
      Explorer packs pids in 4 bits; the extra bit distinguishes crash
      edges from protocol steps.  The crash mask occupies one key byte, so
@@ -260,7 +256,7 @@ module Make (P : Explorer.CHECKABLE) = struct
       State_table.blit_key table id ks.E.parent_key;
       E.load_parent ks;
       let mask = Char.code (Bytes.get ks.E.parent_key kw) in
-      let budget = max_crashes - popcount mask in
+      let budget = max_crashes - Repro_util.Bits.popcount mask in
       (* Protocol steps of the live (enabled, uncrashed) processors, then
          their crash branches — a crash of a halted processor changes
          nothing observable. *)

@@ -1,6 +1,6 @@
 (** Inductive-invariant track for the Figure-3 snapshot: certify safety
-    facts by induction instead of reachability, then reuse the proved
-    invariant as a pruning oracle inside the explicit engines.
+    facts by induction instead of reachability, and check the proved
+    invariant against the explicit engines' reachable states.
 
     Explicit-state checking enumerates the reachable states of one [(n, m,
     wiring)] instance and tops out around n = 4.  This module takes the
@@ -18,8 +18,9 @@
     {e counterexample to induction} (CTI): a transition [pre → post] with
     [pre ⊨ Inv] and [post ⊭ Inv].  A CTI does not refute invariance — the
     pre-state may be unreachable — but a proved conjunction holds in every
-    reachable state of {e every} schedule, which is what makes it a sound
-    pruning oracle ({!violates_state}).
+    reachable state of {e every} schedule, so {!violates_state} never
+    fires on a reachable state (the test suite runs it as the explicit
+    engines' invariant to confirm this).
 
     Two checkers discharge the obligations:
 
@@ -79,7 +80,8 @@ val pp_clause : clause Fmt.t
 
 val proved : clause list
 (** The containment-and-coverage conjunction that passes both obligations
-    — the invariant behind {!violates_state} pruning. *)
+    — the conjunction the test suite evaluates with {!violates_state} on
+    every reachable state of the explicit engines. *)
 
 val candidates : clause list
 (** [proved] plus the per-level comparability strengthenings from the

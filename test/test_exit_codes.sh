@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pin the anonsim exit-code contract end to end:
 #   0 = clean pass, 2 = violation / refuted invariant,
-#   3 = resource budget exhausted, 4 = interrupted.
+#   3 = resource budget exhausted, 4 = interrupted;
+#   124 = usage error (cmdliner's CLI-error code).
 # Usage: test_exit_codes.sh /path/to/anonsim.exe
 set -u
 
@@ -38,6 +39,12 @@ expect 3 check-snapshot -n 3 --max-seconds 0.01
 
 # resource limit (exit 3): the state cap is a limit, not a violation
 expect 3 check-snapshot -n 2 --max-states 10
+
+# the non-atomicity sampler missing within --attempts is a spent budget
+expect 3 check-nonatomic --attempts 10
+
+# usage error: the exhaustive search is the 3-processor instance only
+expect 124 check-nonatomic --exhaustive -n 2
 
 # interrupted (exit 4): SIGINT mid-run; the n=3 induction takes seconds
 "$ANONSIM" inductive --check -n 3 >/dev/null 2>&1 &

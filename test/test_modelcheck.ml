@@ -219,10 +219,10 @@ let test_snapshot3_selfcheck () =
 
 let test_snapshot3_bit_layout () =
   let open Modelcheck.Snapshot3 in
-  let l = mk_local ~view:5 ~level:3 ~nw:2 ~phase:6 ~mn:3 in
+  let l = mk_local ~view:5 ~level:3 ~written:6 ~phase:6 ~mn:3 in
   Alcotest.(check int) "view" 5 (l_view l);
   Alcotest.(check int) "level" 3 (l_level l);
-  Alcotest.(check int) "nw" 2 (l_nw l);
+  Alcotest.(check int) "written" 6 (l_written l);
   Alcotest.(check int) "phase" 6 (l_phase l);
   Alcotest.(check int) "min" 3 (l_min l);
   let s = set_local (set_reg 0 2 (mk_reg ~view:7 ~level:1)) 1 l in
@@ -236,72 +236,72 @@ let test_snapshot3_rejects_bad_inputs () =
     (Invalid_argument "Snapshot3: inputs must be in 1..3") (fun () ->
       ignore (Modelcheck.Snapshot3.initial_state [| 1; 2; 9 |]))
 
-(* --- the nondeterministic-write-order variant ------------------------------- *)
+(* --- the paper's nondeterministic write order -------------------------------- *)
 
-let test_snapshot3_nd_choices () =
-  let open Modelcheck.Snapshot3_nd in
+let rotation3 = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ]
+
+let test_snapshot3_choices () =
+  let open Modelcheck.Snapshot3 in
   let s = initial_state [| 1; 2; 3 |] in
-  (* initially every processor is writing with an empty round mask: 3
+  (* initially every processor is writing with an empty round set: 3
      choices each *)
   List.iter
     (fun p -> Alcotest.(check int) "3 write choices" 3 (choices s p))
     [ 0; 1; 2 ];
+  let sigma = [| 0; 1; 2 |] in
+  let s = step s 0 1 sigma in
+  Alcotest.(check int) "scanning: one choice" 1 (choices s 0);
+  Alcotest.(check int) "choice 1 wrote private register 1" 0b010
+    (l_written (get_local s 0));
   Alcotest.(check int) "first unwritten" 0 (write_target 0b000 0);
   Alcotest.(check int) "skip written" 1 (write_target 0b001 0);
   Alcotest.(check int) "second choice" 2 (write_target 0b001 1);
   Alcotest.(check int) "only r1 free" 1 (write_target 0b101 0)
 
-let test_snapshot3_nd_step_subsumes_cyclic () =
-  (* Choosing the lowest unwritten register each round reproduces the
-     deterministic implementation's behaviour: run both packed semantics
-     in lockstep on a random schedule and compare views and levels. *)
-  let open Modelcheck.Snapshot3_nd in
+let test_snapshot3_choice0_is_cyclic () =
+  (* Choice 0 is the implementation's cyclic order: its written sets are
+     the prefixes {}, {0}, {0,1} (one-to-one with a cyclic cursor), and
+     the claim-7a check explores exactly the states the cursor layout
+     did.  Counts pinned from that layout, DFS order included. *)
+  let open Modelcheck.Snapshot3 in
   let rng = Rng.create ~seed:11 in
   let wiring = Anonmem.Wiring.random rng ~n:3 ~m:3 in
-  let sigmas =
-    Array.init 3 (fun p -> Array.init 3 (fun i -> Anonmem.Wiring.phys wiring ~p i))
-  in
-  let det = ref (Modelcheck.Snapshot3.initial_state [| 1; 2; 3 |]) in
-  let nd = ref (initial_state [| 1; 2; 3 |]) in
+  let sigmas = sigmas_of wiring in
+  let s = ref (initial_state [| 1; 2; 3 |]) in
   for _ = 1 to 500 do
-    let enabled =
-      List.filter (fun p -> choices !nd p > 0) [ 0; 1; 2 ]
-    in
-    if enabled <> [] then begin
-      let p = Rng.pick rng enabled in
-      (* deterministic cyclic order = always the round's lowest unwritten
-         register, which under Snapshot3's cursor is choice... the cursor
-         and the mask enumerate registers in the same private order, so
-         choice 0 matches *)
-      det := Modelcheck.Snapshot3.step !det p sigmas.(p);
-      nd := step !nd p 0 sigmas.(p);
-      List.iter
-        (fun q ->
-          let dl = Modelcheck.Snapshot3.get_local !det q in
-          let nl = get_local !nd q in
-          if
-            Modelcheck.Snapshot3.l_view dl <> l_view nl
-            || Modelcheck.Snapshot3.l_level dl <> l_level nl
-          then Alcotest.fail "ND(choice 0) diverged from cyclic semantics")
-        [ 0; 1; 2 ]
-    end
-  done
+    match List.filter (fun p -> choices !s p > 0) [ 0; 1; 2 ] with
+    | [] -> ()
+    | enabled ->
+        let p = Rng.pick rng enabled in
+        s := step !s p 0 sigmas.(p);
+        List.iter
+          (fun q ->
+            let w = l_written (get_local !s q) in
+            Alcotest.(check bool) "choice-0 written set is a prefix" true
+              (w = 0 || w = 0b001 || w = 0b011))
+          [ 0; 1; 2 ]
+  done;
+  match check ~log2_capacity:22 ~wiring:rotation3 ~inputs:[| 1; 1; 1 |] () with
+  | Verified st ->
+      Alcotest.(check int) "states" 1_605_993 st.states;
+      Alcotest.(check int) "transitions" 4_752_099 st.transitions;
+      Alcotest.(check int) "terminals" 1 st.terminals;
+      Alcotest.(check int) "DFS depth" 154 st.max_depth
+  | _ -> Alcotest.fail "cyclic (1,1,1) on the rotation wiring not verified"
 
-let test_snapshot3_nd_search_smoke () =
+let test_snapshot3_single_group_refuted () =
   (* With a single group, every view is {1}: the first write puts {1} in
      memory and the whole subtree is pruned, so the search refutes the
      target immediately on every wiring. *)
-  let r =
-    Modelcheck.Snapshot3_nd.find_nonatomic ~log2_capacity:16
+  match
+    Modelcheck.Snapshot3.find_nonatomic ~log2_capacity:16
       ~inputs:[| 1; 1; 1 |] ~target_mask:0b001
-      ~wirings:
-        [
-          Anonmem.Wiring.identity ~n:3 ~m:3;
-          Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ];
-        ]
+      ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3; rotation3 ]
       ()
-  in
-  Alcotest.(check bool) "single group has no witness" true (r = None)
+  with
+  | Modelcheck.Snapshot3.Refuted per_wiring ->
+      Alcotest.(check int) "one record per wiring" 2 (List.length per_wiring)
+  | _ -> Alcotest.fail "single group must be refuted"
 
 (* --- consensus codec -------------------------------------------------------- *)
 
@@ -944,11 +944,11 @@ let () =
           Alcotest.test_case "input validation" `Quick
             test_snapshot3_rejects_bad_inputs;
           Alcotest.test_case "ND: choices and targets" `Quick
-            test_snapshot3_nd_choices;
+            test_snapshot3_choices;
           Alcotest.test_case "ND: choice 0 = cyclic order" `Quick
-            test_snapshot3_nd_step_subsumes_cyclic;
+            test_snapshot3_choice0_is_cyclic;
           Alcotest.test_case "ND: single-group refuted" `Quick
-            test_snapshot3_nd_search_smoke;
+            test_snapshot3_single_group_refuted;
         ] );
       ( "consensus-codec",
         [

@@ -452,31 +452,28 @@ let test_fault_explorer_reduced_witness () =
       | _ -> Alcotest.failf "planted bug missed (reduction=%b)" reduction)
     [ false; true ]
 
-let test_snapshot3_nd_planted_search () =
-  (* The packed nondeterministic 3-processor checker: single-group inputs
-     refute the non-atomicity target on every wiring (fast).  Under
-     MC_LONG, additionally reproduce a slice of the EXPERIMENTS C2
-     refutation: the cyclic-write refinement admits no (1,1,2)/{1}
-     witness — `None` here is the documented positive result, not a miss
-     (the full 36-wiring sweep lives in `experiments --full`). *)
-  let r =
-    Modelcheck.Snapshot3_nd.find_nonatomic ~log2_capacity:16
-      ~inputs:[| 1; 1; 1 |] ~target_mask:0b001
+let test_snapshot3_nd_search () =
+  (* The packed 3-processor checker under the paper's nondeterministic
+     write order: single-group inputs refute the non-atomicity target on
+     every wiring (fast).  Under MC_LONG, additionally reproduce one
+     wiring of the EXPERIMENTS C2 search: (1,1,2)/{1} on the identity
+     wiring is refuted after exactly these many states and transitions
+     (the full 36-wiring sweep is `make nonatomic`). *)
+  let search ~inputs ~target_mask =
+    Modelcheck.Snapshot3.find_nonatomic ~inputs ~target_mask
       ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
-      ()
   in
-  Alcotest.(check bool) "single group: no witness" true (r = None);
-  if long_mode then begin
-    let some_wirings =
-      match wirings3 with a :: b :: _ -> [ a; b ] | _ -> assert false
-    in
-    let r =
-      Modelcheck.Snapshot3.find_nonatomic ~inputs:[| 1; 1; 2 |]
-        ~target_mask:0b001 ~wirings:some_wirings ()
-    in
-    Alcotest.(check bool) "cyclic refinement: C2 refutation slice" true
-      (r = None)
-  end
+  (match search ~log2_capacity:16 ~inputs:[| 1; 1; 1 |] ~target_mask:0b001 () with
+  | Modelcheck.Snapshot3.Refuted [ _ ] -> ()
+  | _ -> Alcotest.fail "single group: expected a refutation");
+  if long_mode then
+    match search ~inputs:[| 1; 1; 2 |] ~target_mask:0b001 () with
+    | Modelcheck.Snapshot3.Refuted [ st ] ->
+        Alcotest.(check int) "free-order states" 47_453_305
+          st.Modelcheck.Snapshot3.states;
+        Alcotest.(check int) "free-order transitions" 96_074_944
+          st.Modelcheck.Snapshot3.transitions
+    | _ -> Alcotest.fail "(1,1,2)/{1} on the identity wiring: expected a refutation"
 
 (* ------------------------------------------------------------------ *)
 (* Canon soundness properties (QCheck).                               *)
@@ -747,7 +744,7 @@ let () =
           Alcotest.test_case "fault explorer reduced witness" `Quick
             test_fault_explorer_reduced_witness;
           Alcotest.test_case "snapshot3 ND search" `Quick
-            test_snapshot3_nd_planted_search;
+            test_snapshot3_nd_search;
         ] );
       ( "canon",
         [
